@@ -11,10 +11,10 @@
 //! faster path per request. [`choose_access_path`] implements that picker
 //! over the same cost model.
 
-use rewind_common::{Error, IoStats, Lsn, MediaModel, Result, SimClock, Timestamp};
+use rewind_common::{Error, Lsn, MediaModel, Result, SimClock, Timestamp};
 use rewind_core::{Database, DbConfig};
 use rewind_pagestore::{FileManager, MemFileManager, Page, PAGE_SIZE};
-use rewind_wal::{find_split_lsn_deep, LogManager};
+use rewind_wal::{find_split_lsn_deep, LogManager, Reach};
 use std::sync::Arc;
 
 /// A full database backup: a page-image copy plus the log position it was
@@ -106,12 +106,13 @@ pub fn restore_to_point_in_time(
     // 2. Replay the log forward from the backup position to the split.
     let io0 = log.io_stats().snapshot();
     let scan_to = Lsn(split.0 + 1);
-    log.scan_deep(backup.backup_lsn, scan_to, |rec| {
-        if rec.payload.is_page_op() && rec.page.is_valid() {
-            let mut page = fm.read_page(rec.page)?;
-            if page.page_lsn() < rec.lsn {
-                rec.payload.redo(&mut page, rec.page, rec.lsn)?;
-                fm.write_page(rec.page, &page)?;
+    log.scan_refs(backup.backup_lsn, scan_to, Reach::Archive, |rec| {
+        let (header, view) = rec.view()?;
+        if header.is_page_op() && header.page.is_valid() {
+            let mut page = fm.read_page(header.page)?;
+            if page.page_lsn() < header.lsn {
+                view.redo(&mut page, header.page, header.lsn)?;
+                fm.write_page(header.page, &page)?;
                 report.records_replayed += 1;
             }
         }
@@ -247,12 +248,14 @@ fn undo_losers_on_restored(
     let mut heap: std::collections::BinaryHeap<(Lsn, TxnId)> =
         analysis.losers.iter().map(|l| (l.last_lsn, l.id)).collect();
     while let Some((lsn, txn)) = heap.pop() {
-        let rec = log.get_record_deep(lsn)?;
-        let next = if rec.is_clr() {
-            rec.undo_next
+        let rec = log.get_record_ref(lsn, Reach::Archive)?;
+        let header = rec.header()?;
+        let next = if header.is_clr() {
+            header.undo_next
         } else {
-            rewind_recovery::rollback::undo_record(&store, &rec, &resolver)?;
-            rec.prev_lsn
+            let (_, view) = rec.view()?;
+            rewind_recovery::rollback::undo_record_view(&store, &header, &view, &resolver)?;
+            header.prev_lsn
         };
         if next.is_valid() {
             heap.push((next, txn));
@@ -311,12 +314,6 @@ pub fn choose_access_path(e: &PathEstimate, data: &MediaModel, log: &MediaModel)
     } else {
         PathChoice::RestoreRollForward
     }
-}
-
-/// Convenience: fresh I/O stats handle (used by benches to cost a restore
-/// in isolation).
-pub fn fresh_stats() -> Arc<IoStats> {
-    Arc::new(IoStats::new())
 }
 
 #[cfg(test)]

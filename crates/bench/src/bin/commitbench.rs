@@ -21,7 +21,7 @@
 
 use rewind_common::{Lsn, ObjectId, PageId, TxnId};
 use rewind_core::{Column, DataType, Database, DbConfig, Schema, Value};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord, Reach};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
@@ -130,8 +130,8 @@ fn serial_attribution_exact() -> bool {
     let log = LogManager::new(LogConfig::default());
     let a = log.append(&insert_rec(1, 100));
     let b = log.append(&insert_rec(2, 300));
-    let frame_a = log.get_record_ref(a).unwrap().frame_len();
-    let frame_b = log.get_record_ref(b).unwrap().frame_len();
+    let frame_a = log.get_record_ref(a, Reach::Retained).unwrap().frame_len();
+    let frame_b = log.get_record_ref(b, Reach::Retained).unwrap().frame_len();
     let s0 = log.io_stats().snapshot();
     log.flush_to(a);
     let charged_a = log.io_stats().snapshot().log_bytes_written - s0.log_bytes_written;

@@ -1,57 +1,31 @@
 //! Microbenchmark for the lock-free log read path: concurrent backward
 //! chain walks (`PreparePageAsOf`'s access pattern) against the log.
 //!
-//! Three configurations over the *same* log contents:
+//! Two configurations over the *same* log contents:
 //!
 //! * **mutex baseline** — every read takes one global mutex and fully
 //!   decodes the record to an owned `LogRecord`, reproducing the seed
 //!   implementation's `Mutex<LogInner>` + `Vec<u8>`-per-record read path;
 //! * **ref walk** — `get_record_ref` + header decode, the snapshot-isolated
-//!   path `prepare_page_as_of`/rollback actually execute in production;
-//! * **header walk** — `get_record_header`, the borrow-in-place fast path.
+//!   path `prepare_page_as_of`/rollback actually execute in production.
 //!
-//! Reports per-thread-count throughput, the production ref-walk speedup at
-//! 4 threads (the acceptance bar is ≥ 2×), and allocations per record on
-//! both lock-free walks (the acceptance bar is 0), measured by a counting
-//! global allocator.
+//! Reports per-thread-count throughput, the ref-walk speedup at 4 threads
+//! (the acceptance bar is ≥ 2×), and allocations per record on the warm
+//! ref walk (the acceptance bar is 0), measured on the walking thread by
+//! the shared counting allocator (`rewind_common::testalloc`).
 //!
 //! ```text
 //! cargo run -p rewind-bench --release --bin logbench [-- --quick]
 //! ```
 
+use rewind_common::testalloc::{thread_allocations, CountingAllocator};
 use rewind_common::{Lsn, ObjectId, PageId, TxnId};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
-use std::alloc::{GlobalAlloc, Layout, System};
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord, Reach};
 use std::sync::atomic::{AtomicU64, Ordering};
 // tidy: allow(std-sync) -- the seed-era mutex read path is the baseline under measurement
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Instant;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System` plus relaxed atomic counting — every
-// GlobalAlloc contract obligation is discharged by the system allocator.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: delegates to `System.alloc` with the caller's layout unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: delegates to `System.dealloc`; `ptr`/`layout` come from `alloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: delegates to `System.realloc` with the caller's arguments unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -120,22 +94,8 @@ fn walk_ref(log: &LogManager, heads: &[Lsn]) -> u64 {
     for &head in heads {
         let mut cur = head;
         while cur.is_valid() {
-            let rec = log.get_record_ref(cur).expect("read");
+            let rec = log.get_record_ref(cur, Reach::Retained).expect("read");
             let header = rec.header().expect("header");
-            cur = header.prev_page_lsn;
-            n += 1;
-        }
-    }
-    n
-}
-
-/// Walk every page chain to its root through the header-only fast path.
-fn walk_header(log: &LogManager, heads: &[Lsn]) -> u64 {
-    let mut n = 0u64;
-    for &head in heads {
-        let mut cur = head;
-        while cur.is_valid() {
-            let header = log.get_record_header(cur).expect("read");
             cur = header.prev_page_lsn;
             n += 1;
         }
@@ -150,7 +110,10 @@ fn walk_mutex(log: &Mutex<Arc<LogManager>>, heads: &[Lsn]) -> u64 {
         let mut cur = head;
         while cur.is_valid() {
             let guard = log.lock().unwrap();
-            let rec = guard.get_record(cur).expect("read");
+            let rec = guard
+                .get_record_ref(cur, Reach::Retained)
+                .and_then(|r| r.decode())
+                .expect("read");
             drop(guard);
             cur = rec.prev_page_lsn;
             n += 1;
@@ -206,41 +169,32 @@ fn main() {
         pages * mods
     );
 
-    // Allocation count per record on both warm lock-free walks.
+    // Allocation count per record on the warm lock-free walk.
     let warm = walk_ref(&log, &heads);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     let walked = walk_ref(&log, &heads);
-    let ref_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocs = thread_allocations() - before;
     assert_eq!(warm, walked);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    walk_header(&log, &heads);
-    let header_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
     println!(
-        "allocations per record, warm: ref walk {:.4} ({ref_allocs}/{walked}), header walk {:.4} ({header_allocs}/{walked})",
-        ref_allocs as f64 / walked as f64,
-        header_allocs as f64 / walked as f64
+        "allocations per record, warm ref walk: {:.4} ({allocs}/{walked})",
+        allocs as f64 / walked as f64
     );
-    let allocs = ref_allocs + header_allocs;
 
     let mutexed = Mutex::new(log.clone());
     println!(
-        "\n{:>8} | {:>14} | {:>14} | {:>8} | {:>14} | {:>8}",
-        "threads", "mutex rec/s", "ref rec/s", "speedup", "header rec/s", "speedup"
+        "\n{:>8} | {:>14} | {:>14} | {:>8}",
+        "threads", "mutex rec/s", "ref rec/s", "speedup"
     );
-    println!("{}", "-".repeat(80));
+    println!("{}", "-".repeat(54));
     let mut ratio_at_4 = 0.0;
     for threads in [1usize, 2, 4, 8] {
         let base = bench(threads, &heads, reps, |slice| walk_mutex(&mutexed, slice));
         let refs = bench(threads, &heads, reps, |slice| walk_ref(&log, slice));
-        let hdrs = bench(threads, &heads, reps, |slice| walk_header(&log, slice));
         let ref_ratio = refs / base;
-        let hdr_ratio = hdrs / base;
         if threads == 4 {
             ratio_at_4 = ref_ratio;
         }
-        println!(
-            "{threads:>8} | {base:>14.0} | {refs:>14.0} | {ref_ratio:>7.2}x | {hdrs:>14.0} | {hdr_ratio:>7.2}x"
-        );
+        println!("{threads:>8} | {base:>14.0} | {refs:>14.0} | {ref_ratio:>7.2}x");
     }
 
     println!();
@@ -252,8 +206,8 @@ fn main() {
         println!("WARN: 4-thread speedup {ratio_at_4:.2}x below the 2x target on this machine");
     }
     if allocs == 0 {
-        println!("PASS: lock-free chain walks perform zero allocations per record");
+        println!("PASS: the lock-free chain walk performs zero allocations per record");
     } else {
-        println!("WARN: lock-free chain walks allocated {allocs} times");
+        println!("WARN: the lock-free chain walk allocated {allocs} times");
     }
 }

@@ -68,7 +68,7 @@
 //! whole table, ROADMAP item (h)) would march the clock over every frame
 //! and evict the live working set. [`BufferPool::scan_partition`] creates a
 //! pin-limited partition: misses taken through
-//! [`BufferPool::read_page_in`] reuse the partition's **own** frames
+//! [`BufferPool::read_page_staged_in`] reuse the partition's **own** frames
 //! ring-style once its bounded budget is reached, so a scan of any length
 //! dirties at most `budget` frames of the shared pool. Partition loads
 //! publish their frames with the reference bit clear, making them the
@@ -237,7 +237,7 @@ impl PoolStatsView {
 
 /// A pin-limited partition of the pool for cold bulk streams (bulk as-of
 /// preparation, large scans). Created by [`BufferPool::scan_partition`];
-/// passed to [`BufferPool::read_page_in`].
+/// passed to [`BufferPool::read_page_staged_in`].
 ///
 /// The partition tracks the frames *it* loaded in a bounded ring. Until the
 /// ring reaches its budget, misses claim victims from the global clock like
@@ -391,7 +391,7 @@ impl PageRead<'_> {
 
 /// Batched-I/O knobs for a [`BufferPool`] — how misses are vector-read and
 /// how flushes are written back. The default is fully scalar (batch size 1,
-/// no writeback threads), so a plain `BufferPool::new` pool behaves — and
+/// no writeback threads), so a pool built with the default behaves — and
 /// accounts — exactly as before the batched backend existed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolIoConfig {
@@ -450,29 +450,13 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool of `capacity` frames over `fm`, flushing through `log` (WAL
-    /// rule), with the default shard count.
-    pub fn new(fm: Arc<dyn IoBackend>, log: Arc<LogManager>, capacity: usize) -> Self {
-        Self::with_shards(fm, log, capacity, DEFAULT_SHARDS)
-    }
-
-    /// A pool with an explicit page-table shard count (rounded up to a
-    /// power of two). `shards == 1` reproduces a single-table pool — useful
-    /// as a baseline; accounting is identical for serial traces at *every*
-    /// shard count.
-    pub fn with_shards(
-        fm: Arc<dyn IoBackend>,
-        log: Arc<LogManager>,
-        capacity: usize,
-        shards: usize,
-    ) -> Self {
-        Self::with_io(fm, log, capacity, shards, PoolIoConfig::default())
-    }
-
-    /// A pool with explicit shard count *and* batched-I/O configuration.
-    /// Per-page hit/miss/eviction accounting of any serial trace is
-    /// bit-identical at every `io` setting; only device-op counts (and
-    /// which thread performs flush writes) change.
-    pub fn with_io(
+    /// rule). `shards` is the page-table shard count, rounded up to a power
+    /// of two (`0` picks the default); `shards == 1` reproduces a
+    /// single-table pool, and accounting is identical for serial traces at
+    /// *every* shard count. Per-page hit/miss/eviction accounting of any
+    /// serial trace is likewise bit-identical at every `io` setting; only
+    /// device-op counts (and which thread performs flush writes) change.
+    pub fn new(
         fm: Arc<dyn IoBackend>,
         log: Arc<LogManager>,
         capacity: usize,
@@ -547,11 +531,6 @@ impl BufferPool {
         self.io.io_batch_pages.max(1)
     }
 
-    /// Whether flushes run through the background writeback pool.
-    pub fn has_writeback(&self) -> bool {
-        self.writeback.is_some()
-    }
-
     /// Wait until no background writeback work is queued or in flight.
     /// Every flush drains its own submissions before returning, so this is
     /// a cheap no-op unless a flush is concurrently mid-submit; crash
@@ -565,11 +544,6 @@ impl BufferPool {
             let _gate = self.flush_gate.lock();
             let _ = wb.drain();
         }
-    }
-
-    /// The log manager used for WAL-rule flushes.
-    pub fn log_manager(&self) -> &Arc<LogManager> {
-        &self.log
     }
 
     /// Access counters (hits, misses, evictions, shard contention).
@@ -1062,26 +1036,18 @@ impl BufferPool {
     /// Acquire a shared, revalidated read guard on page `pid`. The guard
     /// dereferences to [`Page`] and releases latch + pin on drop.
     pub fn read_page(&self, pid: PageId) -> Result<PageReadGuard<'_>> {
-        self.read_page_in(pid, None)
+        self.read_page_staged_in(pid, None, None)
     }
 
     /// [`BufferPool::read_page`], with cold misses optionally routed
-    /// through a [`ScanPartition`] (bounded frame budget, ring reuse).
-    /// Hits — and therefore hit/IO accounting of anything resident — are
-    /// identical to the default path.
-    pub fn read_page_in(
-        &self,
-        pid: PageId,
-        scan: Option<&ScanPartition>,
-    ) -> Result<PageReadGuard<'_>> {
-        self.read_page_staged_in(pid, scan, None)
-    }
-
-    /// [`BufferPool::read_page_in`] with an optional staged first read
-    /// attempt from [`BufferPool::stage_read_run`]. A cold miss consumes
-    /// the staged result instead of issuing its own device read; everything
-    /// else — hit classification, victim choice, eviction accounting,
-    /// retry/salvage hardening — is bit-identical to the unstaged path.
+    /// through a [`ScanPartition`] (bounded frame budget, ring reuse) and
+    /// an optional staged first read attempt from
+    /// [`BufferPool::stage_read_run`]. Hits — and therefore hit/IO
+    /// accounting of anything resident — are identical to the default
+    /// path. A cold miss consumes the staged result instead of issuing its
+    /// own device read; everything else — hit classification, victim
+    /// choice, eviction accounting, retry/salvage hardening — is
+    /// bit-identical to the unstaged path.
     pub fn read_page_staged_in(
         &self,
         pid: PageId,
@@ -1376,7 +1342,7 @@ mod tests {
     fn setup(cap: usize) -> (Arc<MemFileManager>, Arc<LogManager>, BufferPool) {
         let fm = Arc::new(MemFileManager::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::new(fm.clone(), log.clone(), cap);
+        let pool = BufferPool::new(fm.clone(), log.clone(), cap, 0, PoolIoConfig::default());
         (fm, log, pool)
     }
 
@@ -1586,7 +1552,9 @@ mod tests {
         // Cold stream 4x the pool size through a 4-frame partition.
         let part = pool.scan_partition(4);
         for pid in 100..=228u64 {
-            let g = pool.read_page_in(PageId(pid), Some(&part)).unwrap();
+            let g = pool
+                .read_page_staged_in(PageId(pid), Some(&part), None)
+                .unwrap();
             assert_eq!(g.page_id(), PageId(0), "fresh pages read as zeroed");
         }
         assert!(part.frames_held() <= part.budget());
@@ -1636,7 +1604,7 @@ mod tests {
     fn shard_count_is_power_of_two_and_single_shard_works() {
         let fm = Arc::new(MemFileManager::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::with_shards(fm, log, 8, 3);
+        let pool = BufferPool::new(fm, log, 8, 3, PoolIoConfig::default());
         assert_eq!(pool.shard_count(), 4);
         format_on(&pool, PageId(9), Lsn(1));
         pool.with_page(PageId(9), |p| {
@@ -1710,7 +1678,7 @@ mod tests {
     fn read_fault_on_miss_releases_claim_and_pool_recovers() {
         let fm = Arc::new(FaultyFm::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::new(fm.clone(), log, 4);
+        let pool = BufferPool::new(fm.clone(), log, 4, 0, PoolIoConfig::default());
         fm.fail_reads.store(1, Ordering::Release);
         assert!(pool.with_page(PageId(1), |_| Ok(())).is_err());
         // The claimed frame was handed back: no pins, and the same access
@@ -1727,7 +1695,7 @@ mod tests {
     fn write_fault_on_dirty_eviction_keeps_victim_reachable() {
         let fm = Arc::new(FaultyFm::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::new(fm.clone(), log, 4);
+        let pool = BufferPool::new(fm.clone(), log, 4, 0, PoolIoConfig::default());
         format_on(&pool, PageId(1), Lsn(1));
         for i in 2..=4u64 {
             pool.with_page(PageId(i), |_| Ok(())).unwrap();

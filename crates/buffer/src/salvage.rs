@@ -22,7 +22,7 @@
 
 use rewind_common::{CorruptionKind, Error, Lsn, PageId, Result};
 use rewind_pagestore::Page;
-use rewind_wal::{LogManager, LogPayloadView};
+use rewind_wal::{LogManager, LogPayloadView, Reach};
 
 /// Rebuild `pid` to its durable tip purely from the log. `cause` is the
 /// verification error that triggered the salvage, carried into the failure
@@ -43,7 +43,9 @@ pub fn salvage_page(log: &LogManager, pid: PageId, cause: &Error) -> Result<Page
     // reached any on-media page image (WAL rule), and after a crash it is
     // discarded anyway.
     let mut tip = Lsn::NULL;
-    log.scan_views(log.earliest_available_lsn(), log.flushed_lsn(), |h, _| {
+    let (from, to) = (log.earliest_available_lsn(), log.flushed_lsn());
+    log.scan_refs(from, to, Reach::Retained, |rec| {
+        let h = rec.header()?;
         if h.page == pid && h.kind.is_page_op() {
             tip = h.lsn;
         }
@@ -63,7 +65,7 @@ pub fn salvage_page(log: &LogManager, pid: PageId, cause: &Error) -> Result<Page
     let mut cur = tip;
     loop {
         let rec = log
-            .get_record_ref(cur)
+            .get_record_ref(cur, Reach::Retained)
             .map_err(|e| fail(format!("page chain damaged at {cur}: {e}")))?;
         let (header, view) = rec
             .view()

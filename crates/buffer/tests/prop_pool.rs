@@ -7,7 +7,7 @@
 //! traces against an in-test reimplementation of the pre-shard algorithm.
 
 use proptest::prelude::*;
-use rewind_buffer::BufferPool;
+use rewind_buffer::{BufferPool, PoolIoConfig};
 use rewind_common::{Lsn, ObjectId, PageId};
 use rewind_pagestore::{FileManager, MemFileManager, PageType};
 use rewind_wal::{LogConfig, LogManager};
@@ -143,7 +143,7 @@ impl Oracle {
 fn replay(ops: &[Op], cap: usize, shards: usize) -> (u64, u64, u64, u64, Vec<u64>) {
     let fm = Arc::new(MemFileManager::new());
     let log = Arc::new(LogManager::new(LogConfig::default()));
-    let pool = BufferPool::with_shards(fm.clone(), log, cap, shards);
+    let pool = BufferPool::new(fm.clone(), log, cap, shards, PoolIoConfig::default());
     let io0 = fm.io_stats().snapshot();
     let mut lsn = 1u64;
     for op in ops {
@@ -214,7 +214,7 @@ proptest! {
 
         let fm = Arc::new(MemFileManager::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::with_shards(fm.clone(), log, cap, 4);
+        let pool = BufferPool::new(fm.clone(), log, cap, 4, PoolIoConfig::default());
         // The partition exists for the whole run: its mere existence must
         // not perturb default-path accounting.
         let part = pool.scan_partition(budget);
@@ -249,7 +249,7 @@ proptest! {
             (1..=512u64).filter(|&p| pool.contains(PageId(p))).collect();
         let io_before = fm.io_stats().snapshot();
         for p in 0..sweep {
-            let g = pool.read_page_in(PageId(1000 + p), Some(&part)).unwrap();
+            let g = pool.read_page_staged_in(PageId(1000 + p), Some(&part), None).unwrap();
             prop_assert_eq!(g.page_id(), PageId(0)); // zeroed fresh page
         }
         let s2 = pool.stats();

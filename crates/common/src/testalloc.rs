@@ -17,10 +17,19 @@
 //! static ALLOC: CountingAllocator = CountingAllocator;
 //! ```
 //!
-//! Counters are process-global (there is only one global allocator);
-//! callers measure deltas, so absolute values never matter.
+//! Two views of the same count; callers measure deltas, so absolute values
+//! never matter:
+//!
+//! * [`thread_allocations`] / [`thread_large_allocations`] count only the
+//!   calling thread's allocations. Single-thread proofs use them: they are
+//!   exactly as strict for the measured code, and tests running in parallel
+//!   in the same binary (or the test harness's own threads) cannot perturb
+//!   them.
+//! * [`allocations`] / [`large_allocations`] are process-global, for proofs
+//!   whose measured section spans several threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations at or above this size count as "large" — sized to the
@@ -32,20 +41,39 @@ pub const LARGE_ALLOC_MIN: usize = 8192;
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Per-thread `(all, large)` allocation counts. `const`-initialised with
+    /// no destructor, so bumping them never allocates (no lazy
+    /// registration) — required inside the allocator itself.
+    static THREAD_ALLOCATIONS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Count one allocation, globally and for the calling thread. `try_with`
+/// keeps allocations made during thread teardown safe to count.
+fn count(size: usize) {
+    let large = size >= LARGE_ALLOC_MIN;
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if large {
+        LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+    let _ = THREAD_ALLOCATIONS.try_with(|n| {
+        let (all, big) = n.get();
+        n.set((all + 1, big + u64::from(large)));
+    });
+}
+
 /// Forwards to the system allocator, counting every allocation (and
 /// page-sized ones separately). Frees are not counted — the proofs are
 /// about allocation pressure, and `realloc` counts as one allocation.
 pub struct CountingAllocator;
 
-// SAFETY: pure pass-through to `System` plus relaxed atomic counting — every
-// GlobalAlloc contract obligation is discharged by the system allocator.
+// SAFETY: pure pass-through to `System` plus relaxed atomic and non-allocating
+// thread-local counting — every GlobalAlloc contract obligation is
+// discharged by the system allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: delegates to `System.alloc` with the caller's layout unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if layout.size() >= LARGE_ALLOC_MIN {
-            LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -56,10 +84,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: delegates to `System.realloc` with the caller's arguments unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if new_size >= LARGE_ALLOC_MIN {
-            LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,6 +92,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// Total allocations since process start (meaningful as deltas).
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Allocations made by the calling thread since it started (meaningful as
+/// deltas).
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.try_with(|n| n.get().0).unwrap_or(0)
+}
+
+/// The calling thread's allocations of [`LARGE_ALLOC_MIN`] bytes or more
+/// (meaningful as deltas).
+pub fn thread_large_allocations() -> u64 {
+    THREAD_ALLOCATIONS.try_with(|n| n.get().1).unwrap_or(0)
 }
 
 /// Allocations of [`LARGE_ALLOC_MIN`] bytes or more — page clones, in this

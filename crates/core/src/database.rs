@@ -12,12 +12,12 @@ use rewind_common::{Error, IoSnapshot, Lsn, ObjectId, PageId, Result, SimClock, 
 use rewind_obs::{EventKind, FnSource, IoStatsSource, MetricsRegistry, MetricsSnapshot, Obs};
 use rewind_pagestore::{IoBackend, MemFileManager, PageType};
 use rewind_recovery::{
-    pipelined_restart, rollback::undo_record, take_checkpoint, take_checkpoint_incremental,
+    pipelined_restart, rollback::undo_record_view, take_checkpoint, take_checkpoint_incremental,
     AccessKind, EngineParts, EngineStore, RestartOutcome,
 };
 use rewind_snapshot::AsOfSnapshot;
 use rewind_txn::{LockKey, LockManager, LockMode, ObjectLatches, TxnManager, TxnShared, TxnState};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord, Reach};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -263,7 +263,7 @@ impl Database {
         config: &DbConfig,
     ) -> Arc<EngineParts> {
         let io = PoolIoConfig::batched(config.io_batch_pages, config.writeback_workers);
-        let pool = Arc::new(BufferPool::with_io(
+        let pool = Arc::new(BufferPool::new(
             fm,
             log.clone(),
             config.buffer_pages,
@@ -497,11 +497,6 @@ impl Database {
     /// histograms). Owned by the log manager; see `LogConfig::obs`.
     pub fn obs(&self) -> &Arc<Obs> {
         self.parts.log.obs()
-    }
-
-    /// The unified metrics registry (register extra sources here).
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
     }
 
     /// One coherent point-in-time snapshot of every registered metric.
@@ -1183,18 +1178,20 @@ impl Database {
         let undo_started = rewind_obs::monotonic_us();
         let mut records_undone = 0u64;
         while let Some((lsn, txn)) = heap.pop() {
-            let rec = db.parts.log.get_record(lsn)?;
+            let rec = db.parts.log.get_record_ref(lsn, Reach::Retained)?;
+            let header = rec.header()?;
             let sh = shared[&txn.0].clone();
-            let next = if rec.is_clr() {
-                rec.undo_next
+            let next = if header.is_clr() {
+                header.undo_next
             } else {
                 let store = EngineStore::new(&db.parts, &sh);
                 // Position the store's chain at this record so CLRs chain
                 // correctly even across restarts.
                 sh.set_last_lsn(lsn);
-                undo_record(&store, &rec, &resolver)?;
+                let (_, view) = rec.view()?;
+                undo_record_view(&store, &header, &view, &resolver)?;
                 records_undone += 1;
-                rec.prev_lsn
+                header.prev_lsn
             };
             if next.is_valid() {
                 heap.push((next, txn));

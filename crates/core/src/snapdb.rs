@@ -256,6 +256,7 @@ impl SnapshotDb {
         }
         let store = self.snap.store();
         loop {
+            let epoch = self.snap.undo_epoch();
             match catalog::read_table_by_name(&store, &self.sys, name)? {
                 Some(info) => {
                     // Gate on the catalog row: an in-flight DDL transaction
@@ -263,6 +264,7 @@ impl SnapshotDb {
                     if self
                         .snap
                         .gate_row(ObjectId::SYS_TABLES, &catalog::table_key(info.id))?
+                        || self.snap.undo_epoch() != epoch
                     {
                         continue; // waited: re-read
                     }
@@ -291,6 +293,7 @@ impl SnapshotDb {
     pub fn list_tables(&self) -> Result<Vec<TableInfo>> {
         let store = self.snap.store();
         loop {
+            let epoch = self.snap.undo_epoch();
             let tables = catalog::list_tables(&store, &self.sys)?;
             let mut waited = false;
             for t in &tables {
@@ -298,7 +301,7 @@ impl SnapshotDb {
                     .snap
                     .gate_row(ObjectId::SYS_TABLES, &catalog::table_key(t.id))?;
             }
-            if !waited {
+            if !waited && self.snap.undo_epoch() == epoch {
                 return Ok(tables);
             }
         }
@@ -312,8 +315,9 @@ impl SnapshotDb {
         let key_bytes = encode_key(&refs)?;
         let store = self.snap.store();
         loop {
+            let epoch = self.snap.undo_epoch();
             let found = table.tree()?.get(&store, &key_bytes)?;
-            if self.snap.gate_row(table.id, &key_bytes)? {
+            if self.snap.gate_row(table.id, &key_bytes)? || self.snap.undo_epoch() != epoch {
                 continue; // waited for in-flight txn: re-read
             }
             return match found {
@@ -330,8 +334,9 @@ impl SnapshotDb {
     pub fn get_value_bytes(&self, table: &TableInfo, key_bytes: &[u8]) -> Result<Option<Vec<u8>>> {
         let store = self.snap.store();
         loop {
+            let epoch = self.snap.undo_epoch();
             let found = table.tree()?.get(&store, key_bytes)?;
-            if self.snap.gate_row(table.id, key_bytes)? {
+            if self.snap.gate_row(table.id, key_bytes)? || self.snap.undo_epoch() != epoch {
                 continue; // waited for in-flight txn: re-read
             }
             return Ok(found);
@@ -366,19 +371,20 @@ impl SnapshotDb {
             None => self.snap.store(),
         };
         loop {
+            let epoch = self.snap.undo_epoch();
             let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
             table.tree()?.scan(&store, lo, hi, |k, v| {
                 rows.push((k.to_vec(), v.to_vec()));
                 Ok(rows.len() < limit)
             })?;
+            let mut waited = false;
             if !self.snap.undo_complete() {
-                let mut waited = false;
                 for (k, _) in &rows {
                     waited |= self.snap.gate_row(table.id, k)?;
                 }
-                if waited {
-                    continue;
-                }
+            }
+            if waited || self.snap.undo_epoch() != epoch {
+                continue;
             }
             return rows.into_iter().map(|(_, v)| decode_row(&v)).collect();
         }
@@ -432,12 +438,13 @@ impl SnapshotDb {
                     None => self.snap.store(),
                 };
                 loop {
+                    let epoch = self.snap.undo_epoch();
                     let mut rows = Vec::new();
                     table.heap()?.scan(&store, |_, bytes| {
                         rows.push(decode_row(bytes)?);
                         Ok(true)
                     })?;
-                    if self.snap.gate_table(table.id)? {
+                    if self.snap.gate_table(table.id)? || self.snap.undo_epoch() != epoch {
                         continue;
                     }
                     return Ok(rows);
@@ -469,6 +476,7 @@ impl SnapshotDb {
         // stay off the scan partition.
         let store = self.snap.store();
         loop {
+            let epoch = self.snap.undo_epoch();
             let mut pks: Vec<Vec<u8>> = Vec::new();
             idx.tree().scan(
                 &store,
@@ -487,7 +495,7 @@ impl SnapshotDb {
                     rows.push(decode_row(&v)?);
                 }
             }
-            if waited {
+            if waited || self.snap.undo_epoch() != epoch {
                 continue;
             }
             return Ok(rows);

@@ -216,11 +216,6 @@ impl WritebackPool {
             std::mem::take(&mut st.failed),
         )
     }
-
-    /// The number of worker threads (for tests and metrics).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Drop for WritebackPool {

@@ -25,7 +25,8 @@
 use rewind_common::{Lsn, ObjectId, PageId, Result, TxnId};
 use rewind_txn::{LockKey, LockMode};
 use rewind_wal::{
-    DptEntry, LogManager, LogPayload, LogPayloadView, LogRecordHeader, PayloadKind, REC_FLAG_HEAP,
+    DptEntry, LogManager, LogPayload, LogPayloadView, LogRecordHeader, PayloadKind, Reach,
+    REC_FLAG_HEAP,
 };
 use std::collections::HashMap;
 
@@ -168,7 +169,7 @@ impl AnalysisBuilder {
             records_scanned: 0,
         };
         if let Some(c) = &checkpoint {
-            let rec = log.get_record_deep(c.end_lsn)?;
+            let rec = log.get_record_ref(c.end_lsn, Reach::Archive)?.decode()?;
             if let LogPayload::CheckpointEnd(body) = rec.payload {
                 for e in body.att {
                     b.att.insert(
@@ -265,12 +266,13 @@ impl AnalysisBuilder {
             .min();
         if let Some(from) = earliest {
             let ids: Vec<u64> = att.keys().copied().collect();
-            log.scan_views_deep(from, scan_start, |header, view| {
+            log.scan_refs(from, scan_start, Reach::Archive, |rec| {
+                let (header, view) = rec.view()?;
                 if header.txn.is_valid()
                     && ids.contains(&header.txn.0)
                     && header.flags & rewind_wal::REC_FLAG_SYSTEM == 0
                 {
-                    let (first, second) = locks_for(header.flags, header.object, view);
+                    let (first, second) = locks_for(header.flags, header.object, &view);
                     if let Some(info) = att.get_mut(&header.txn.0) {
                         if let Some(key) = first {
                             info.push_lock(key);
@@ -330,8 +332,10 @@ pub fn analyze(log: &LogManager, bound: Lsn) -> Result<AnalysisResult> {
     // row bytes are inspected in place for lock keys, never copied.
     // `scan_end()` saturates, so the `Lsn::MAX` crash-restart sentinel
     // stays "to the end of the log" instead of overflowing to NULL.
-    log.scan_views_deep(builder.scan_start(), bound.scan_end(), |header, view| {
-        builder.observe(header, view);
+    let from = builder.scan_start();
+    log.scan_refs(from, bound.scan_end(), Reach::Archive, |rec| {
+        let (header, view) = rec.view()?;
+        builder.observe(&header, &view);
         Ok(true)
     })?;
     builder.finish(log, bound)

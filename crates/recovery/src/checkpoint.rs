@@ -107,16 +107,16 @@ fn checkpoint_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rewind_buffer::BufferPool;
+    use rewind_buffer::{BufferPool, PoolIoConfig};
     use rewind_pagestore::MemFileManager;
-    use rewind_wal::LogConfig;
+    use rewind_wal::{LogConfig, Reach};
     use std::sync::Arc;
 
     #[test]
     fn checkpoint_registers_in_directory_and_captures_tables() {
         let fm = Arc::new(MemFileManager::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::new(fm, log.clone(), 8);
+        let pool = BufferPool::new(fm, log.clone(), 8, 0, PoolIoConfig::default());
         let txns = TxnManager::new();
         let t = txns.begin();
         t.record_logged(Lsn(100));
@@ -136,7 +136,11 @@ mod tests {
         assert_eq!(info.at, Timestamp::from_secs(42));
         assert!(log.flushed_lsn() > end);
 
-        let rec = log.get_record(end).unwrap();
+        let rec = log
+            .get_record_ref(end, Reach::Retained)
+            .unwrap()
+            .decode()
+            .unwrap();
         match rec.payload {
             LogPayload::CheckpointEnd(body) => {
                 assert_eq!(body.att.len(), 1);
@@ -154,7 +158,7 @@ mod tests {
     fn incremental_checkpoint_flushes_only_old_dirt() {
         let fm = Arc::new(MemFileManager::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::new(fm, log.clone(), 8);
+        let pool = BufferPool::new(fm, log.clone(), 8, 0, PoolIoConfig::default());
         let txns = TxnManager::new();
         for (pid, lsn) in [(3u64, 100u64), (4, 900)] {
             pool.with_page_mut(rewind_common::PageId(pid), |v| {
@@ -168,7 +172,11 @@ mod tests {
         let end = take_checkpoint_incremental(&log, &txns, &pool, &clock, Lsn(500)).unwrap();
         // Page 3 (recLSN 100 < 500) was flushed; page 4 stays dirty and is
         // captured in the checkpoint's DPT, bounding redo to recLSN >= 500.
-        let rec = log.get_record(end).unwrap();
+        let rec = log
+            .get_record_ref(end, Reach::Retained)
+            .unwrap()
+            .decode()
+            .unwrap();
         match rec.payload {
             LogPayload::CheckpointEnd(body) => {
                 assert_eq!(body.dpt.len(), 1);

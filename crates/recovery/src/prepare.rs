@@ -11,7 +11,7 @@
 
 use rewind_common::{Error, Lsn, PageId, Result};
 use rewind_pagestore::Page;
-use rewind_wal::{LogManager, LogPayloadView, RecordRef};
+use rewind_wal::{LogManager, LogPayloadView, Reach, RecordRef};
 
 /// Costs observed while preparing one page; the paper's Fig. 11 reports the
 /// number of undo log reads.
@@ -60,7 +60,7 @@ pub fn prepare_page_as_of(
     let mut fpi_cursor = page.last_fpi_lsn();
     let mut skip_target: Option<RecordRef> = None;
     while fpi_cursor.is_valid() && fpi_cursor > as_of {
-        let rec = log.get_record_ref(fpi_cursor)?;
+        let rec = log.get_record_ref(fpi_cursor, Reach::Retained)?;
         stats.fpi_chain_reads += 1;
         match rec.view()?.1 {
             LogPayloadView::FullPageImage { prev_fpi_lsn, .. } => {
@@ -89,7 +89,7 @@ pub fn prepare_page_as_of(
     // per-record allocation, no payload copies.
     let mut cur = page.page_lsn();
     while cur.is_valid() && cur > as_of {
-        let rec = log.get_record_ref(cur)?;
+        let rec = log.get_record_ref(cur, Reach::Retained)?;
         stats.records_undone += 1;
         let (header, view) = rec.view()?;
         if header.page != pid {

@@ -12,10 +12,10 @@
 //! record to a worker by its `PageId` therefore suffices: all records for
 //! one page land on one worker, a FIFO channel delivers them (in batches)
 //! in the dispatcher's scan order (= LSN order), and the worker applies them with
-//! the same `page_lsn < lsn` idempotency test as the serial pass. Apply
-//! counts are bit-exact with the serial pass for the same reason the test
-//! is per-page: whether a record applies depends only on its own page's
-//! LSN, which only that record's worker advances.
+//! the same `page_lsn < lsn` idempotency test as the serial (`workers == 1`,
+//! inline) pass. Apply counts are bit-exact with the serial pass for the
+//! same reason the test is per-page: whether a record applies depends only
+//! on its own page's LSN, which only that record's worker advances.
 //!
 //! # Why analysis can stream into redo
 //!
@@ -45,15 +45,15 @@ use crate::analysis::{AnalysisBuilder, AnalysisResult};
 use rewind_buffer::BufferPool;
 use rewind_common::{Error, Lsn, PageId, Result};
 use rewind_pagestore::Page;
-use rewind_wal::{LogManager, RecordRef};
+use rewind_wal::{LogManager, Reach, RecordRef};
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, SyncSender};
 
 /// Redo statistics from the partitioned dispatcher.
 #[derive(Clone, Debug, Default)]
 pub struct PartitionedRedo {
-    /// Records applied, summed over workers — bit-exact with the serial
-    /// [`crate::redo_pass`] on the same log.
+    /// Records applied, summed over workers — bit-exact with the inline
+    /// single-worker pass on the same log.
     pub applied: u64,
     /// Records applied by each worker (length = worker count; shows
     /// partition skew).
@@ -150,7 +150,7 @@ fn scan_and_dispatch(
         .collect();
     let prefix_from = seed.values().copied().min().filter(|l| *l < scan_start);
     if let Some(from) = prefix_from {
-        log.scan_refs(from, scan_start, |rec| {
+        log.scan_refs(from, scan_start, Reach::Retained, |rec| {
             let header = rec.header()?;
             if header.is_page_op() && header.page.is_valid() {
                 if let Some(&rec_lsn) = seed.get(&header.page) {
@@ -164,7 +164,7 @@ fn scan_and_dispatch(
     }
     // Combined scan: every record feeds analysis; page-ops that qualify
     // against the first-sighting recLSN are dispatched immediately.
-    log.scan_refs_deep(scan_start, bound.scan_end(), |rec| {
+    log.scan_refs(scan_start, bound.scan_end(), Reach::Archive, |rec| {
         let (header, view) = rec.view()?;
         if let Some(rec_lsn) = builder.observe(&header, &view) {
             if header.lsn >= rec_lsn {
@@ -301,4 +301,59 @@ pub fn pipelined_restart(
         analysis_us,
         redo_us,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rewind_buffer::PoolIoConfig;
+    use rewind_common::{ObjectId, Timestamp, TxnId};
+    use rewind_pagestore::{MemFileManager, PageType};
+    use rewind_wal::{LogConfig, LogPayload, LogRecord};
+    use std::sync::Arc;
+
+    /// `bound` values adjacent to `Lsn::MAX` used to compute `bound.0 + 1`,
+    /// which overflows (wrapping the scan end to `Lsn::NULL` and silently
+    /// redoing nothing). The saturating scan end must keep these bounds
+    /// meaning "to the end of the log" at every worker count.
+    #[test]
+    fn redo_bound_adjacent_to_max_does_not_overflow() {
+        let log = Arc::new(LogManager::new(LogConfig::default()));
+        let rec = |page: PageId, payload: LogPayload| LogRecord {
+            lsn: Lsn::NULL,
+            txn: TxnId(1),
+            prev_lsn: Lsn::NULL,
+            page,
+            prev_page_lsn: Lsn::NULL,
+            object: ObjectId(1),
+            undo_next: Lsn::NULL,
+            flags: 0,
+            payload,
+        };
+        log.append(&rec(
+            PageId(3),
+            LogPayload::Format {
+                object: ObjectId(1),
+                ty: PageType::Heap,
+                level: 0,
+                next: PageId::INVALID,
+                prev: PageId::INVALID,
+            },
+        ));
+        log.append(&rec(
+            PageId::INVALID,
+            LogPayload::Commit {
+                at: Timestamp::from_secs(1),
+            },
+        ));
+        for workers in [1, 2] {
+            for bound in [Lsn::MAX, Lsn(u64::MAX - 1)] {
+                let fm = Arc::new(MemFileManager::new());
+                let pool = BufferPool::new(fm, log.clone(), 8, 0, PoolIoConfig::default());
+                let out = pipelined_restart(&log, &pool, bound, workers).unwrap();
+                assert_eq!(out.redo.applied, 1, "workers={workers} bound={bound}");
+                assert_eq!(out.analysis.committed, 1);
+            }
+        }
+    }
 }

@@ -16,9 +16,7 @@
 use rewind_access::store::{ModKind, Store};
 use rewind_access::{BTree, Heap};
 use rewind_common::{Error, Lsn, ObjectId, Result};
-use rewind_wal::{
-    LogManager, LogPayload, LogPayloadView, LogRecord, LogRecordHeader, REC_FLAG_SYSTEM,
-};
+use rewind_wal::{LogManager, LogPayload, LogPayloadView, LogRecordHeader, Reach, REC_FLAG_SYSTEM};
 
 /// How an object stores rows — resolved from the catalog during rollback.
 #[derive(Clone, Copy, Debug)]
@@ -29,28 +27,11 @@ pub enum AccessKind {
     Heap(Heap),
 }
 
-/// Undo one record, logging CLR(s). Returns `Ok(())` even when the logical
-/// target no longer exists (idempotent crash-resume).
-///
-/// Compatibility wrapper over [`undo_record_view`] for callers holding an
-/// owned record.
-pub fn undo_record<S: Store>(
-    s: &S,
-    rec: &LogRecord,
-    resolver: &dyn Fn(ObjectId) -> Result<AccessKind>,
-) -> Result<()> {
-    match rec.payload.as_view() {
-        Some(view) => undo_record_view(s, &rec.header(), &view, resolver),
-        None => Err(Error::Internal(format!(
-            "unexpected payload in rollback: {:?}",
-            rec.payload
-        ))),
-    }
-}
-
 /// Undo one record from its header and borrowed payload view, logging
-/// CLR(s). The zero-copy workhorse: undo walks hand payloads straight from
-/// the log segment; bytes are copied only into the CLRs actually written.
+/// CLR(s). Returns `Ok(())` even when the logical target no longer exists
+/// (idempotent crash-resume). The zero-copy workhorse: undo walks hand
+/// payloads straight from the log segment; bytes are copied only into the
+/// CLRs actually written.
 ///
 /// Public because both restart undo and as-of snapshot recovery (§5.2) drive
 /// merged multi-transaction sweeps through it.
@@ -188,7 +169,7 @@ pub fn rollback_chain<S: Store>(
     let mut cur = from;
     let mut undone = 0u64;
     while cur.is_valid() {
-        let rec = log.get_record_ref(cur)?;
+        let rec = log.get_record_ref(cur, Reach::Retained)?;
         let header = rec.header()?;
         if header.is_clr() {
             cur = header.undo_next;

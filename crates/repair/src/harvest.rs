@@ -27,7 +27,7 @@
 //! The planner later downgrades conflicts whose restore action is a no-op.
 
 use rewind_common::{Error, Lsn, ObjectId, Result, Timestamp, TxnId};
-use rewind_wal::{LogManager, LogPayloadView, LogRecordHeader, PayloadKind, REC_FLAG_HEAP};
+use rewind_wal::{LogManager, LogPayloadView, LogRecordHeader, PayloadKind, Reach, REC_FLAG_HEAP};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Which transactions to flash back.
@@ -156,7 +156,8 @@ pub fn harvest(log: &LogManager, target: &RepairTarget) -> Result<Harvest> {
     let mut committed: Vec<(TargetTxn, Vec<PendingWrite>)> = Vec::new();
     let mut scanned = 0u64;
 
-    let scan_end = log.scan_views(log.truncation_point(), Lsn::MAX, |header, view| {
+    let scan_end = log.scan_refs(log.truncation_point(), Lsn::MAX, Reach::Retained, |rec| {
+        let (header, view) = rec.view()?;
         scanned += 1;
         if !header.txn.is_valid() {
             return Ok(true);
@@ -198,8 +199,8 @@ pub fn harvest(log: &LogManager, target: &RepairTarget) -> Result<Harvest> {
                     buf.first_lsn = header.lsn;
                 }
                 buf.last_lsn = header.lsn;
-                if is_row_write(header) {
-                    if let Some(key) = key_of(view) {
+                if is_row_write(&header) {
+                    if let Some(key) = key_of(&view) {
                         buf.writes.push(PendingWrite {
                             object: header.object,
                             key: key.to_vec(),
@@ -312,7 +313,8 @@ pub fn harvest(log: &LogManager, target: &RepairTarget) -> Result<Harvest> {
 pub fn refresh_conflicts(log: &LogManager, harvest: &mut Harvest) -> Result<()> {
     let targets: BTreeSet<TxnId> = harvest.targets.iter().map(|t| t.id).collect();
     let mut commits: Vec<(TxnId, Lsn, Timestamp, Lsn)> = Vec::new();
-    let new_end = log.scan_views(harvest.scan_end, Lsn::MAX, |header, view| {
+    let new_end = log.scan_refs(harvest.scan_end, Lsn::MAX, Reach::Retained, |rec| {
+        let (header, view) = rec.view()?;
         if header.kind == PayloadKind::Commit
             && !header.is_system()
             && header.txn.is_valid()
@@ -325,7 +327,7 @@ pub fn refresh_conflicts(log: &LogManager, harvest: &mut Harvest) -> Result<()> 
     })?;
     for (id, commit_lsn, commit_at, mut cur) in commits {
         while cur.is_valid() {
-            let rec = log.get_record_ref(cur)?;
+            let rec = log.get_record_ref(cur, Reach::Retained)?;
             let (header, view) = rec.view()?;
             if is_row_write(&header) {
                 if let Some(key) = key_of(&view) {

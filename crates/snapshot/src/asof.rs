@@ -10,9 +10,9 @@ use rewind_pagestore::Page;
 use rewind_recovery::rollback::undo_record_view;
 use rewind_recovery::{analyze, AccessKind, CowSink, EngineParts, LoserTxn};
 use rewind_txn::{LockManager, LockMode, ObjectLatches};
-use rewind_wal::find_split_lsn;
+use rewind_wal::{find_split_lsn, Reach};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,6 +99,8 @@ pub struct AsOfSnapshot {
     pub locks: Arc<LockManager>,
     losers: Vec<LoserTxn>,
     undo_done: AtomicBool,
+    /// Transactions fully undone so far; see [`AsOfSnapshot::undo_epoch`].
+    undo_epoch: AtomicU64,
     undo_signal: (Mutex<bool>, Condvar),
     cow_token: Option<u64>,
 }
@@ -198,6 +200,7 @@ impl AsOfSnapshot {
             locks,
             losers: analysis.losers,
             undo_done: AtomicBool::new(false),
+            undo_epoch: AtomicU64::new(0),
             undo_signal: (Mutex::new(false), Condvar::new()),
             cow_token,
         });
@@ -258,7 +261,7 @@ impl AsOfSnapshot {
         while let Some((lsn, txn)) = heap.pop() {
             // Zero-copy walk: CLRs are skipped after a header-only decode;
             // only records actually undone materialize a payload view.
-            let rec = self.inner.log.get_record_ref(lsn)?;
+            let rec = self.inner.log.get_record_ref(lsn, Reach::Retained)?;
             let header = rec.header()?;
             let next = if header.is_clr() {
                 header.undo_next
@@ -271,7 +274,10 @@ impl AsOfSnapshot {
             if next.is_valid() {
                 heap.push((next, txn));
             } else {
-                // transaction fully undone: release its reacquired locks
+                // transaction fully undone: count it, then release its
+                // reacquired locks (a reader that finds a lock free must
+                // also see the count move)
+                self.undo_epoch.fetch_add(1, Ordering::Release);
                 self.locks.release_all(txn);
             }
         }
@@ -294,6 +300,16 @@ impl AsOfSnapshot {
         let (lock, cv) = &self.undo_signal;
         *lock.lock() = true;
         cv.notify_all();
+    }
+
+    /// Undo progress: the number of in-flight transactions fully undone so
+    /// far, bumped just before each one's locks are released. A gated read
+    /// takes it before reading and re-reads if it moved by the time the
+    /// read's rows are gated: a transaction that finished in between may
+    /// have released a row the read saw before its undo, which no gate
+    /// would then report.
+    pub fn undo_epoch(&self) -> u64 {
+        self.undo_epoch.load(Ordering::Acquire)
     }
 
     /// Whether background undo has finished.

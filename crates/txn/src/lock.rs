@@ -104,11 +104,6 @@ impl LockKey {
             row: key.to_vec(),
         }
     }
-
-    /// Whether this is the table-level lock.
-    pub fn is_table(&self) -> bool {
-        self.row.is_empty()
-    }
 }
 
 #[derive(Default)]
@@ -367,11 +362,6 @@ impl LockManager {
                 return Err(Error::LockTimeout(TxnId::NONE));
             }
         }
-    }
-
-    /// Number of keys `txn` holds (diagnostics).
-    pub fn held_count(&self, txn: TxnId) -> usize {
-        self.state.lock().held.get(&txn).map_or(0, |s| s.len())
     }
 
     /// Total number of lock entries (diagnostics).

@@ -31,7 +31,7 @@ pub mod logmgr;
 pub mod record;
 pub mod split;
 
-pub use logmgr::{CheckpointInfo, LogConfig, LogManager, RecordRef};
+pub use logmgr::{CheckpointInfo, LogConfig, LogManager, Reach, RecordRef};
 pub use record::{
     CheckpointBody, DptEntry, LogPayload, LogPayloadView, LogRecord, LogRecordHeader, PayloadKind,
     RecordFlags, TxnTableEntry, RECORD_HEADER_BYTES, REC_FLAG_CLR, REC_FLAG_HEAP, REC_FLAG_SYSTEM,

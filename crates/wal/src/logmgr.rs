@@ -34,8 +34,11 @@
 //! one (a longer analysis scan, same answer) rather than losing the
 //! directory.
 //!
-//! Random record reads (`get_record*`) are how `PreparePageAsOf` walks
-//! per-page chains. Each read is classified as a *log cache hit* or a *log
+//! The log has one read path: point reads ([`LogManager::get_record_ref`])
+//! and forward scans ([`LogManager::scan_refs`]), both yielding a zero-copy
+//! [`RecordRef`], both taking a [`Reach`] that says whether archived
+//! history is readable. Retained point reads are how `PreparePageAsOf`
+//! walks per-page chains. Each is classified as a *log cache hit* or a *log
 //! I/O* through a simple cache model (hot tail + LRU of recently touched
 //! blocks), because the number of undo log I/Os is exactly what the paper
 //! measures in Fig. 11 and what makes log media latency matter (§6.2).
@@ -56,9 +59,9 @@
 //!   seal/truncate/discard and bump a version counter; readers keep a
 //!   thread-local cache of the latest index per log and revalidate with one
 //!   atomic load. The hot read path therefore takes **no lock at all** —
-//!   `get_record`, `scan` and the `*_deep` variants resolve entirely
-//!   against the snapshot; only reads that land in the active tail segment
-//!   fall back to the writer mutex.
+//!   [`LogManager::get_record_ref`] and [`LogManager::scan_refs`] resolve
+//!   entirely against the snapshot; only reads that land in the active tail
+//!   segment fall back to the writer mutex.
 //! * **Snapshot isolation for readers.** A reader holding a [`RecordRef`]
 //!   (or a thread-local index) keeps the underlying `Arc<[u8]>` alive, so
 //!   `truncate_before`/`discard_unflushed` can never invalidate an
@@ -157,7 +160,7 @@ pub struct LogConfig {
     /// Keep truncated segments as a *log archive* (the moral equivalent of
     /// incremental log backups, paper §1). Archived log is out of retention
     /// for the as-of machinery but remains readable to point-in-time
-    /// restore via the `*_deep` methods.
+    /// restore via [`Reach::Archive`] reads.
     pub archive_on_truncate: bool,
     /// Modeled latency of one physical flush, in microseconds (a device
     /// write barrier / fsync). `0` (the default) makes flushes instantaneous
@@ -442,6 +445,21 @@ impl ReadCache {
     }
 }
 
+/// How far back a read may reach, and whether point reads are charged to
+/// the log-cache model.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reach {
+    /// Retention-bound: history before the truncation point is
+    /// [`Error::LogTruncated`]. Point reads are classified through the cache
+    /// model (hit or log I/O) — the as-of machinery reads this way on
+    /// purpose, since undo log I/Os are what the paper measures.
+    Retained,
+    /// Falls back to archived segments for truncated history and charges
+    /// nothing to the cache model: point-in-time restore, crash restart's
+    /// analysis window and other whole-history readers.
+    Archive,
+}
+
 /// A zero-copy handle to one log record's bytes.
 ///
 /// Holds the containing segment's `Arc<[u8]>`, so the bytes stay valid (and
@@ -580,12 +598,10 @@ impl LogManager {
         &self.obs
     }
 
-    /// Run `f` against the current sealed index: one atomic version check
-    /// against the thread-local copy; falls back to cloning the published
-    /// `Arc` (the only locked step, taken once per publication, not per
-    /// read). The borrow-based shape lets hot paths read segment bytes with
-    /// no refcount traffic at all. `f` must not reenter the log's read path.
-    fn with_sealed<R>(&self, f: impl FnOnce(&Arc<SealedIndex>) -> R) -> R {
+    /// Clone out the current sealed index: one atomic version check against
+    /// the thread-local copy; falls back to cloning the published `Arc` (the
+    /// only locked step, taken once per publication, not per read).
+    fn load_sealed(&self) -> Arc<SealedIndex> {
         let version = self.version.load(Ordering::Acquire);
         let retire_epoch = LOG_RETIRE_EPOCH.load(Ordering::Acquire);
         TLS_INDEXES.with(|cell| {
@@ -613,14 +629,8 @@ impl LogManager {
                     entries.len() - 1
                 }
             };
-            f(&entries[pos].1)
+            entries[pos].1.clone()
         })
-    }
-
-    /// Clone out the current sealed index (for reads that outlive the
-    /// thread-local borrow — i.e. everything returning a [`RecordRef`]).
-    fn load_sealed(&self) -> Arc<SealedIndex> {
-        self.with_sealed(Arc::clone)
     }
 
     /// Publish a new sealed index. Callers hold the writer mutex, so
@@ -964,20 +974,16 @@ impl LogManager {
     }
 
     /// Resolve a record's bytes without touching the cache model. Lock-free
-    /// for any record in a sealed segment (or the archive, with `deep`);
-    /// only tail-segment reads take the writer mutex, and those copy the
-    /// frame out so the mutex is never held across decoding.
-    fn read_ref_at(&self, lsn: Lsn, deep: bool) -> Result<RecordRef> {
-        self.read_ref_in(self.load_sealed(), lsn, deep)
-    }
-
-    /// [`LogManager::read_ref_at`] against an already-loaded index, so hot
-    /// callers that just consulted the snapshot pay only one load per read.
-    fn read_ref_in(&self, index: Arc<SealedIndex>, lsn: Lsn, deep: bool) -> Result<RecordRef> {
+    /// for any record in a sealed segment (or the archive, at
+    /// [`Reach::Archive`]); only tail-segment reads take the writer mutex,
+    /// and those copy the frame out so the mutex is never held across
+    /// decoding. Takes an already-loaded index, so callers that just
+    /// consulted the snapshot pay only one load per read.
+    fn read_ref_in(&self, index: Arc<SealedIndex>, lsn: Lsn, reach: Reach) -> Result<RecordRef> {
         let mut index = index;
         loop {
             if lsn.0 < index.trunc {
-                if deep {
+                if reach == Reach::Archive {
                     if let Some(seg) = SealedIndex::lookup(&index.archive, lsn.0) {
                         return Self::ref_in_segment(seg, lsn, &self.stats);
                     }
@@ -1042,105 +1048,53 @@ impl LogManager {
         })
     }
 
-    /// Read the record at `lsn` as a zero-copy [`RecordRef`], accounting the
-    /// read through the cache model. This is the chain-walk primitive:
-    /// header and payload decode straight from the segment bytes.
-    pub fn get_record_ref(&self, lsn: Lsn) -> Result<RecordRef> {
-        let index = self.load_sealed();
-        if lsn.0 < index.trunc {
-            return Err(Error::LogTruncated(lsn));
-        }
-        self.cache.classify(
-            lsn.0,
-            self.tail.load(Ordering::Acquire),
-            &self.config,
-            &self.stats,
-        );
-        self.read_ref_in(index, lsn, false)
-    }
-
-    /// Read the fixed header of the record at `lsn` (cache-accounted).
+    /// Read the record at `lsn` as a zero-copy [`RecordRef`]; the caller
+    /// decodes the form it needs ([`RecordRef::header`], [`RecordRef::view`]
+    /// or [`RecordRef::decode`]). This is the chain-walk primitive: header
+    /// and payload decode straight from the segment bytes.
     ///
-    /// The fastest read the log offers: for sealed history the 50 header
-    /// bytes are parsed in place through the thread-local index borrow — no
-    /// lock, no allocation, not even refcount traffic.
-    pub fn get_record_header(&self, lsn: Lsn) -> Result<LogRecordHeader> {
-        let fast = self.with_sealed(|index| {
+    /// At [`Reach::Retained`] the read is charged to the cache model; at
+    /// [`Reach::Archive`] it is not.
+    pub fn get_record_ref(&self, lsn: Lsn, reach: Reach) -> Result<RecordRef> {
+        let index = self.load_sealed();
+        if reach == Reach::Retained {
             if lsn.0 < index.trunc {
-                return Some(Err(Error::LogTruncated(lsn)));
+                return Err(Error::LogTruncated(lsn));
             }
-            if lsn.0 >= index.sealed_end {
-                return None; // tail range: slow path below
-            }
-            Some((|| {
-                self.cache.classify(
-                    lsn.0,
-                    self.tail.load(Ordering::Acquire),
-                    &self.config,
-                    &self.stats,
-                );
-                let seg = SealedIndex::lookup(&index.segs, lsn.0).ok_or_else(|| {
-                    Error::corruption(format!("log offset {} out of range", lsn.0))
-                })?;
-                let (body_off, len) = seg.frame(lsn, &self.stats)?;
-                LogRecord::decode_header(lsn, &seg.data[body_off..body_off + len])
-            })())
-        });
-        match fast {
-            Some(result) => result,
-            None => self.get_record_ref(lsn)?.header(),
+            self.cache.classify(
+                lsn.0,
+                self.tail.load(Ordering::Acquire),
+                &self.config,
+                &self.stats,
+            );
         }
+        self.read_ref_in(index, lsn, reach)
     }
 
-    /// Read the record at `lsn`, accounting the read through the cache model.
-    pub fn get_record(&self, lsn: Lsn) -> Result<LogRecord> {
-        self.get_record_ref(lsn)?.decode()
-    }
-
-    /// Iterate records in `[from, to)` in order, invoking `f` for each.
-    /// Returns the LSN one past the last record visited. Sequential bytes
-    /// are accounted as `log_bytes_scanned`. Lock-free over sealed history.
-    pub fn scan(
+    /// Iterate records in `[from, to)` in order, invoking `f` with each
+    /// zero-copy [`RecordRef`] until it returns `Ok(false)`. Returns the LSN
+    /// one past the last record visited. Sequential bytes are accounted as
+    /// `log_bytes_scanned`; no read is charged to the cache model at either
+    /// [`Reach`]. Lock-free over sealed history. The callback may `clone`
+    /// the ref (an `Arc` bump) and ship it to another thread — the fan-out
+    /// primitive of partitioned redo.
+    pub fn scan_refs(
         &self,
         from: Lsn,
         to: Lsn,
-        mut f: impl FnMut(&LogRecord) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, false, &mut |rec_ref| f(&rec_ref.decode()?))
-    }
-
-    /// Like [`LogManager::scan`] but yielding borrowed header + payload
-    /// views, skipping owned materialization entirely. The workhorse of
-    /// analysis and SplitLSN search.
-    pub fn scan_views(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&LogRecordHeader, &LogPayloadView<'_>) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, false, &mut |rec_ref| {
-            let (header, view) = rec_ref.view()?;
-            f(&header, &view)
-        })
-    }
-
-    fn scan_impl(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        deep: bool,
-        f: &mut dyn FnMut(&RecordRef) -> Result<bool>,
+        reach: Reach,
+        mut f: impl FnMut(&RecordRef) -> Result<bool>,
     ) -> Result<Lsn> {
         let mut cur = from;
         loop {
             let index = self.load_sealed();
-            if !deep && cur.0 < index.trunc {
+            if reach == Reach::Retained && cur.0 < index.trunc {
                 return Err(Error::LogTruncated(cur));
             }
             if cur.0 >= self.tail.load(Ordering::Acquire) || cur >= to {
                 return Ok(cur);
             }
-            let rec_ref = self.read_ref_in(index, cur, deep)?;
+            let rec_ref = self.read_ref_in(index, cur, reach)?;
             let frame = rec_ref.frame_len();
             self.stats.add_log_bytes_scanned(frame);
             if !f(&rec_ref)? {
@@ -1263,7 +1217,7 @@ impl LogManager {
             .sum()
     }
 
-    /// Earliest LSN readable through the deep (archive-aware) methods.
+    /// Earliest LSN readable at [`Reach::Archive`].
     pub fn earliest_available_lsn(&self) -> Lsn {
         let index = self.load_sealed();
         Lsn(index
@@ -1271,60 +1225,6 @@ impl LogManager {
             .first()
             .map(|s| s.start)
             .unwrap_or(index.trunc))
-    }
-
-    /// Read a record, falling back to the archive for truncated history.
-    /// Only point-in-time restore uses this — the as-of machinery stays
-    /// retention-bound on purpose. Lock-free like [`LogManager::get_record`],
-    /// without cache accounting.
-    pub fn get_record_deep(&self, lsn: Lsn) -> Result<LogRecord> {
-        self.read_ref_at(lsn, true)?.decode()
-    }
-
-    /// Like [`LogManager::scan`] but reading archived history too.
-    pub fn scan_deep(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&LogRecord) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, true, &mut |rec_ref| f(&rec_ref.decode()?))
-    }
-
-    /// Like [`LogManager::scan_views`] but reading archived history too.
-    pub fn scan_views_deep(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&LogRecordHeader, &LogPayloadView<'_>) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, true, &mut |rec_ref| {
-            let (header, view) = rec_ref.view()?;
-            f(&header, &view)
-        })
-    }
-
-    /// Like [`LogManager::scan_views`] but yielding the zero-copy
-    /// [`RecordRef`] itself, so the callback can `clone` it (an `Arc` bump)
-    /// and ship it to another thread. The fan-out primitive of partitioned
-    /// redo: the dispatcher scans once, workers decode in parallel.
-    pub fn scan_refs(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&RecordRef) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, false, &mut f)
-    }
-
-    /// Like [`LogManager::scan_refs`] but reading archived history too.
-    pub fn scan_refs_deep(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&RecordRef) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, true, &mut f)
     }
 
     /// Discard everything after the flushed LSN — what a crash does to the
@@ -1633,6 +1533,11 @@ mod tests {
         }
     }
 
+    /// Owned decode of the retained record at `lsn`.
+    fn get(log: &LogManager, lsn: Lsn) -> Result<LogRecord> {
+        log.get_record_ref(lsn, Reach::Retained)?.decode()
+    }
+
     fn insert_rec(txn: u64, n: usize) -> LogRecord {
         rec(
             txn,
@@ -1656,7 +1561,7 @@ mod tests {
         ));
         assert!(a < b && b < c);
         assert_eq!(a, Lsn::FIRST);
-        let back = log.get_record(b).unwrap();
+        let back = get(&log, b).unwrap();
         assert_eq!(back.lsn, b);
         match back.payload {
             LogPayload::InsertRecord { ref bytes, .. } => assert_eq!(bytes.len(), 20),
@@ -1672,8 +1577,8 @@ mod tests {
             lsns.push(log.append(&insert_rec(i, 3000)));
         }
         for &l in &lsns {
-            let owned = log.get_record(l).unwrap();
-            let r = log.get_record_ref(l).unwrap();
+            let owned = get(&log, l).unwrap();
+            let r = log.get_record_ref(l, Reach::Retained).unwrap();
             assert_eq!(r.header().unwrap(), owned.header());
             let (_, view) = r.view().unwrap();
             assert_eq!(view.to_owned_payload().unwrap(), owned.payload);
@@ -1705,15 +1610,15 @@ mod tests {
             lsns.push(log.append(&insert_rec(i, 8)));
         }
         let mut seen = Vec::new();
-        log.scan(lsns[2], lsns[7], |r| {
-            seen.push(r.lsn);
+        log.scan_refs(lsns[2], lsns[7], Reach::Retained, |r| {
+            seen.push(r.lsn());
             Ok(true)
         })
         .unwrap();
         assert_eq!(seen, lsns[2..7].to_vec());
         // early stop
         let mut count = 0;
-        log.scan(Lsn::FIRST, Lsn::MAX, |_| {
+        log.scan_refs(Lsn::FIRST, Lsn::MAX, Reach::Retained, |_| {
             count += 1;
             Ok(count < 3)
         })
@@ -1737,13 +1642,15 @@ mod tests {
             }
         }
         let mut owned = Vec::new();
-        log.scan(Lsn::FIRST, Lsn::MAX, |r| {
+        log.scan_refs(Lsn::FIRST, Lsn::MAX, Reach::Retained, |r| {
+            let r = r.decode()?;
             owned.push((r.lsn, r.txn, r.payload.kind()));
             Ok(true)
         })
         .unwrap();
         let mut viewed = Vec::new();
-        log.scan_views(Lsn::FIRST, Lsn::MAX, |h, v| {
+        log.scan_refs(Lsn::FIRST, Lsn::MAX, Reach::Retained, |r| {
+            let (h, v) = r.view()?;
             assert_eq!(h.kind, v.kind());
             viewed.push((h.lsn, h.txn, h.kind));
             Ok(true)
@@ -1762,7 +1669,7 @@ mod tests {
             lsns.push(log.append(&insert_rec(i, 5000)));
         }
         for &l in &lsns {
-            let r = log.get_record(l).unwrap();
+            let r = get(&log, l).unwrap();
             assert_eq!(r.lsn, l);
         }
         assert!(log.total_bytes() > 2 * SEGMENT_BYTES);
@@ -1787,11 +1694,8 @@ mod tests {
         let new_trunc = log.truncate_before(mid);
         assert!(new_trunc <= mid);
         assert!(new_trunc > Lsn::FIRST);
-        assert!(matches!(
-            log.get_record(lsns[0]),
-            Err(Error::LogTruncated(_))
-        ));
-        assert!(log.get_record(lsns[400]).is_ok());
+        assert!(matches!(get(&log, lsns[0]), Err(Error::LogTruncated(_))));
+        assert!(get(&log, lsns[400]).is_ok());
         assert!(log.retained_bytes() < log.total_bytes());
         // earliest retained time reflects truncation
         let t = log.earliest_retained_time().unwrap();
@@ -1871,21 +1775,21 @@ mod tests {
         }
         // tail read: hit
         let s0 = log.io_stats().snapshot();
-        log.get_record(*lsns.last().unwrap()).unwrap();
+        get(&log, *lsns.last().unwrap()).unwrap();
         let s1 = log.io_stats().snapshot();
         assert_eq!(s1.log_read_ios, s0.log_read_ios);
         assert_eq!(s1.log_cache_hits, s0.log_cache_hits + 1);
         // cold read: miss, then hit on re-read
-        log.get_record(lsns[0]).unwrap();
+        get(&log, lsns[0]).unwrap();
         let s2 = log.io_stats().snapshot();
         assert_eq!(s2.log_read_ios, s1.log_read_ios + 1);
-        log.get_record(lsns[0]).unwrap();
+        get(&log, lsns[0]).unwrap();
         let s3 = log.io_stats().snapshot();
         assert_eq!(s3.log_read_ios, s2.log_read_ios);
         // far-apart cold reads evict each other (cache_blocks = 2)
-        log.get_record(lsns[500]).unwrap();
-        log.get_record(lsns[1000]).unwrap();
-        log.get_record(lsns[0]).unwrap(); // evicted by now
+        get(&log, lsns[500]).unwrap();
+        get(&log, lsns[1000]).unwrap();
+        get(&log, lsns[0]).unwrap(); // evicted by now
         let s4 = log.io_stats().snapshot();
         assert!(s4.log_read_ios >= s3.log_read_ios + 2);
     }
@@ -1894,8 +1798,8 @@ mod tests {
     fn get_past_tail_is_error() {
         let log = LogManager::new(LogConfig::default());
         log.append(&insert_rec(1, 10));
-        assert!(log.get_record(log.tail_lsn()).is_err());
-        assert!(log.get_record(Lsn(999_999)).is_err());
+        assert!(get(&log, log.tail_lsn()).is_err());
+        assert!(get(&log, Lsn(999_999)).is_err());
     }
 
     #[test]
@@ -1906,8 +1810,8 @@ mod tests {
         let log = LogManager::new(LogConfig::default());
         let a = log.append(&insert_rec(1, 100));
         let b = log.append(&insert_rec(2, 200));
-        let frame_a = log.get_record_ref(a).unwrap().frame_len();
-        let frame_b = log.get_record_ref(b).unwrap().frame_len();
+        let frame_a = log.get_record_ref(a, Reach::Retained).unwrap().frame_len();
+        let frame_b = log.get_record_ref(b, Reach::Retained).unwrap().frame_len();
         let s0 = log.io_stats().snapshot();
 
         // Committer 1 forces only its own record…
@@ -1955,7 +1859,7 @@ mod tests {
         assert_eq!(range.start, batch[0].lsn);
         assert_eq!(range.end, log.tail_lsn());
         for (i, rec) in batch.iter().enumerate() {
-            let back = log.get_record(rec.lsn).unwrap();
+            let back = get(&log, rec.lsn).unwrap();
             if i == 0 {
                 // The batch head keeps its caller-provided linkage…
                 assert_eq!(back.prev_lsn, head);
@@ -1970,7 +1874,7 @@ mod tests {
         // A batch of differently-keyed records is left unchained.
         let mut mixed = vec![insert_rec(1, 8), insert_rec(2, 8)];
         log.append_batch(&mut mixed);
-        let back = log.get_record(mixed[1].lsn).unwrap();
+        let back = get(&log, mixed[1].lsn).unwrap();
         assert_eq!(back.prev_lsn, Lsn::NULL);
     }
 
@@ -1994,7 +1898,7 @@ mod tests {
         );
         let range2 = log.append_stamped(&mut r2, &|| Timestamp::from_secs(5));
         assert_eq!(range2.end, log.tail_lsn());
-        match log.get_record(range2.start).unwrap().payload {
+        match get(&log, range2.start).unwrap().payload {
             LogPayload::Commit { at } => assert_eq!(at, Timestamp::from_secs(10)),
             ref other => panic!("unexpected {other:?}"),
         }
@@ -2013,15 +1917,12 @@ mod tests {
         }
         log.flush_to(log.tail_lsn());
         // Hold a zero-copy ref into early history, then truncate past it.
-        let held = log.get_record_ref(lsns[10]).unwrap();
+        let held = log.get_record_ref(lsns[10], Reach::Retained).unwrap();
         let expect = held.decode().unwrap();
         log.truncate_before(lsns[400]);
         assert!(log.truncation_point() > lsns[10]);
         // New reads fail; the held snapshot still decodes the same record.
-        assert!(matches!(
-            log.get_record(lsns[10]),
-            Err(Error::LogTruncated(_))
-        ));
+        assert!(matches!(get(&log, lsns[10]), Err(Error::LogTruncated(_))));
         assert_eq!(held.decode().unwrap(), expect);
         assert_eq!(held.header().unwrap(), expect.header());
     }
@@ -2050,15 +1951,15 @@ mod tests {
         let a = log.append(&insert_rec(1, 64));
         let b = log.append(&insert_rec(1, 64));
         log.flush_to(log.tail_lsn());
-        assert!(log.get_record(b).is_ok());
+        assert!(get(&log, b).is_ok());
         // Flip one bit in b's body; the frame CRC must catch it.
         assert!(log.corrupt_byte_at(b.0 + FRAME_HEADER as u64 + 3, 0x10));
-        let err = log.get_record(b).unwrap_err();
+        let err = get(&log, b).unwrap_err();
         assert_eq!(err.corruption_kind(), Some(CorruptionKind::LogBlock));
         assert!(err.to_string().contains("crc"), "{err}");
         assert!(log.io_stats().snapshot().corruptions_detected >= 1);
         // Undamaged records stay readable.
-        assert!(log.get_record(a).is_ok());
+        assert!(get(&log, a).is_ok());
         // Out-of-range and no-op corruption requests are rejected.
         assert!(!log.corrupt_byte_at(log.tail_lsn().0 + 100, 0x10));
         assert!(!log.corrupt_byte_at(a.0, 0));
@@ -2079,10 +1980,10 @@ mod tests {
         assert_eq!(log.tail_lsn(), lsns[12]);
         assert_eq!(log.flushed_lsn(), lsns[12], "durable horizon pulled back");
         for &l in &lsns[..12] {
-            assert!(log.get_record(l).is_ok(), "clean prefix must survive");
+            assert!(get(&log, l).is_ok(), "clean prefix must survive");
         }
         let mut seen = 0;
-        log.scan(lsns[0], Lsn::MAX, |_| {
+        log.scan_refs(lsns[0], Lsn::MAX, Reach::Retained, |_| {
             seen += 1;
             Ok(true)
         })
@@ -2092,7 +1993,7 @@ mod tests {
         let next = log.append(&insert_rec(99, 10));
         assert_eq!(next, lsns[12]);
         log.flush_to(log.tail_lsn());
-        assert!(log.get_record(next).is_ok());
+        assert!(get(&log, next).is_ok());
         // Idempotent: the repaired log is clean again.
         assert_eq!(log.discard_corrupt_tail(), None);
     }
@@ -2112,11 +2013,11 @@ mod tests {
             "target is sealed"
         );
         // Live readers holding the old index keep the clean bytes.
-        let held = log.get_record_ref(lsns[50]).unwrap();
+        let held = log.get_record_ref(lsns[50], Reach::Retained).unwrap();
         assert!(log.corrupt_byte_at(lsns[50].0 + FRAME_HEADER as u64, 0x01));
         assert_eq!(log.discard_corrupt_tail(), Some(lsns[50]));
         assert_eq!(log.tail_lsn(), lsns[50]);
-        assert!(log.get_record(lsns[49]).is_ok());
+        assert!(get(&log, lsns[49]).is_ok());
         assert!(held.decode().is_ok(), "sealed bytes are never mutated");
     }
 

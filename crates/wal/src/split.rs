@@ -7,7 +7,7 @@
 //! wall-clock time and then by using transaction commit log records to find
 //! the actual SplitLSN."
 
-use crate::logmgr::LogManager;
+use crate::logmgr::{LogManager, Reach};
 use rewind_common::{Error, Lsn, Result, Timestamp};
 
 /// Find the SplitLSN for wall-clock time `t`.
@@ -29,24 +29,7 @@ pub fn find_split_lsn(log: &LogManager, t: Timestamp) -> Result<Lsn> {
         return Err(retention_err(log, t));
     }
 
-    // Scan forward for the last commit at or before `t`. Transactions with
-    // no commit stamp by `t` are losers; records after the chosen split are
-    // simply "the future" from the snapshot's point of view. Header-only
-    // views: only the commit/checkpoint time stamps are decoded.
-    let mut split: Option<Lsn> = None;
-    log.scan_views(start, Lsn::MAX, |header, view| match view.time_stamp() {
-        Some(at) => {
-            if at <= t {
-                split = Some(header.lsn);
-                Ok(true)
-            } else {
-                Ok(false) // commits are time-ordered; we can stop
-            }
-        }
-        None => Ok(true),
-    })?;
-
-    match split {
+    match last_stamp_at_or_before(log, start, t, Reach::Retained)? {
         Some(lsn) => Ok(lsn),
         None => {
             // No commit at or before `t` in the retained region: if the log
@@ -59,6 +42,32 @@ pub fn find_split_lsn(log: &LogManager, t: Timestamp) -> Result<Lsn> {
             }
         }
     }
+}
+
+/// Scan forward from `start` for the last commit (or checkpoint) stamped at
+/// or before `t`. Transactions with no commit stamp by `t` are losers;
+/// records after the chosen split are simply "the future" from the
+/// snapshot's point of view. Header-only views: only the commit/checkpoint
+/// time stamps are decoded.
+fn last_stamp_at_or_before(
+    log: &LogManager,
+    start: Lsn,
+    t: Timestamp,
+    reach: Reach,
+) -> Result<Option<Lsn>> {
+    let mut split: Option<Lsn> = None;
+    log.scan_refs(start, Lsn::MAX, reach, |rec| {
+        let (header, view) = rec.view()?;
+        match view.time_stamp() {
+            Some(at) if at <= t => {
+                split = Some(header.lsn);
+                Ok(true)
+            }
+            Some(_) => Ok(false), // commits are time-ordered; we can stop
+            None => Ok(true),
+        }
+    })?;
+    Ok(split)
 }
 
 fn retention_err(log: &LogManager, t: Timestamp) -> Error {
@@ -75,19 +84,7 @@ pub fn find_split_lsn_deep(log: &LogManager, t: Timestamp) -> Result<Lsn> {
         .checkpoint_before_time(t)
         .map(|c| c.begin_lsn)
         .unwrap_or_else(|| log.earliest_available_lsn());
-    let mut split: Option<Lsn> = None;
-    log.scan_views_deep(start, Lsn::MAX, |header, view| match view.time_stamp() {
-        Some(at) => {
-            if at <= t {
-                split = Some(header.lsn);
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        }
-        None => Ok(true),
-    })?;
-    Ok(split.unwrap_or(Lsn::FIRST))
+    Ok(last_stamp_at_or_before(log, start, t, Reach::Archive)?.unwrap_or(Lsn::FIRST))
 }
 
 #[cfg(test)]
@@ -170,7 +167,8 @@ mod tests {
     /// Oracle: linear scan of the whole log.
     fn oracle_split(log: &LogManager, t: Timestamp) -> Lsn {
         let mut split = Lsn::FIRST;
-        log.scan(log.truncation_point(), Lsn::MAX, |rec| {
+        log.scan_refs(log.truncation_point(), Lsn::MAX, Reach::Retained, |rec| {
+            let rec = rec.decode()?;
             if let LogPayload::Commit { at } | LogPayload::CheckpointBegin { at } = rec.payload {
                 if at <= t {
                     split = rec.lsn;

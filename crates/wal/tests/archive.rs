@@ -3,7 +3,7 @@
 
 use rewind_common::{Error, Lsn, ObjectId, PageId, Timestamp, TxnId};
 use rewind_wal::{
-    find_split_lsn, find_split_lsn_deep, LogConfig, LogManager, LogPayload, LogRecord,
+    find_split_lsn, find_split_lsn_deep, LogConfig, LogManager, LogPayload, LogRecord, Reach,
 };
 
 fn rec(txn: u64, payload: LogPayload) -> LogRecord {
@@ -52,11 +52,11 @@ fn truncation_without_archive_discards_history() {
     assert!(log.truncation_point() > Lsn::FIRST);
     assert_eq!(log.archived_bytes(), 0);
     assert!(matches!(
-        log.get_record(commits[10]),
+        log.get_record_ref(commits[10], Reach::Retained),
         Err(Error::LogTruncated(_))
     ));
     // deep reads cannot help: the bytes are gone
-    assert!(log.get_record_deep(commits[10]).is_err());
+    assert!(log.get_record_ref(commits[10], Reach::Archive).is_err());
 }
 
 #[test]
@@ -70,16 +70,32 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
 
     // shallow (retention-bound) read still refuses
     assert!(matches!(
-        log.get_record(commits[10]),
+        log.get_record_ref(commits[10], Reach::Retained),
         Err(Error::LogTruncated(_))
     ));
-    // deep read succeeds
-    let r = log.get_record_deep(commits[10]).unwrap();
+    // deep read succeeds, and is not charged to the log-cache model
+    let before = log.io_stats().snapshot();
+    let r = log
+        .get_record_ref(commits[10], Reach::Archive)
+        .unwrap()
+        .decode()
+        .unwrap();
     assert_eq!(r.lsn, commits[10]);
+    let after = log.io_stats().snapshot();
+    assert_eq!(after.log_read_ios, before.log_read_ios);
+    assert_eq!(after.log_cache_hits, before.log_cache_hits);
+    // ...while a retained point read is charged exactly once
+    log.get_record_ref(commits[700], Reach::Retained).unwrap();
+    let charged = log.io_stats().snapshot();
+    assert_eq!(
+        (charged.log_read_ios + charged.log_cache_hits)
+            - (after.log_read_ios + after.log_cache_hits),
+        1
+    );
 
     // deep scan crosses the archive/live boundary seamlessly
     let mut seen = 0u64;
-    log.scan_deep(Lsn::FIRST, Lsn::MAX, |_| {
+    log.scan_refs(Lsn::FIRST, Lsn::MAX, Reach::Archive, |_| {
         seen += 1;
         Ok(true)
     })
@@ -88,7 +104,7 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
 
     // shallow scan from the truncation point sees only the retained suffix
     let mut shallow = 0u64;
-    log.scan(trunc, Lsn::MAX, |_| {
+    log.scan_refs(trunc, Lsn::MAX, Reach::Retained, |_| {
         shallow += 1;
         Ok(true)
     })
@@ -135,17 +151,18 @@ fn discard_unflushed_drops_only_the_volatile_tail() {
             bytes: vec![2; 100],
         },
     ));
-    assert!(log.get_record(b).is_ok());
+    assert!(log.get_record_ref(b, Reach::Retained).is_ok());
     log.discard_unflushed();
     assert_eq!(
         log.tail_lsn(),
         flushed_tail,
         "tail rewinds to the flushed point"
     );
-    assert!(log.get_record(a).is_ok());
-    assert!(log.get_record(b).is_err());
+    assert!(log.get_record_ref(a, Reach::Retained).is_ok());
+    assert!(log.get_record_ref(b, Reach::Retained).is_err());
     // appends continue cleanly after the discard
     let c = log.append(&rec(2, LogPayload::Abort));
     assert_eq!(c, flushed_tail);
-    assert_eq!(log.get_record(c).unwrap().payload, LogPayload::Abort);
+    let c_rec = log.get_record_ref(c, Reach::Retained).unwrap().decode();
+    assert_eq!(c_rec.unwrap().payload, LogPayload::Abort);
 }

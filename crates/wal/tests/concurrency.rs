@@ -5,8 +5,8 @@
 //! survives, nothing after it does).
 
 use parking_lot::Mutex;
-use rewind_common::{Error, Lsn, ObjectId, PageId, Timestamp, TxnId};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
+use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp, TxnId};
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord, Reach};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -25,6 +25,11 @@ fn payload_rec(txn: u64, marker: u64, n: usize) -> LogRecord {
         flags: 0,
         payload: LogPayload::InsertRecord { slot: 0, bytes },
     }
+}
+
+/// Owned decode of the retained record at `lsn`.
+fn get(log: &LogManager, lsn: Lsn) -> Result<LogRecord> {
+    log.get_record_ref(lsn, Reach::Retained)?.decode()
 }
 
 fn marker_of(rec: &LogRecord) -> u64 {
@@ -48,7 +53,7 @@ impl XorShift {
     }
 }
 
-/// N reader threads doing random `get_record`/`scan` while one writer
+/// N reader threads doing random point reads and scans while one writer
 /// appends and another thread truncates. Readers must never observe a torn
 /// record: every read either decodes to exactly the record that was
 /// appended at that LSN (validated by a marker) or fails with
@@ -116,7 +121,8 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                     if rng.next().is_multiple_of(8) {
                         // bounded scan from the pick (validates frame chaining)
                         let mut n = 0;
-                        let res = log.scan(lsn, Lsn::MAX, |rec| {
+                        let res = log.scan_refs(lsn, Lsn::MAX, Reach::Retained, |rec| {
+                            let rec = rec.decode()?;
                             assert!(rec.lsn >= lsn, "scan went backwards");
                             n += 1;
                             Ok(n < 16)
@@ -129,7 +135,7 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                             Err(e) => panic!("scan failed: {e}"),
                         };
                     } else {
-                        match log.get_record(lsn) {
+                        match get(&log, lsn) {
                             Ok(rec) => {
                                 assert_eq!(rec.lsn, lsn);
                                 assert_eq!(marker_of(&rec), marker, "torn read at {lsn}");
@@ -138,7 +144,7 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                             Err(Error::LogTruncated(_)) => {
                                 reads_truncated.fetch_add(1, Ordering::Relaxed);
                             }
-                            Err(e) => panic!("get_record({lsn}) failed: {e}"),
+                            Err(e) => panic!("read at {lsn} failed: {e}"),
                         }
                     }
                 }
@@ -174,7 +180,11 @@ fn truncation_does_not_invalidate_inflight_readers() {
     let held: Vec<_> = (0..100)
         .map(|i| {
             let lsn = lsns[i * 10];
-            (lsn, i as u64 * 10, log.get_record_ref(lsn).unwrap())
+            (
+                lsn,
+                i as u64 * 10,
+                log.get_record_ref(lsn, Reach::Retained).unwrap(),
+            )
         })
         .collect();
 
@@ -194,7 +204,7 @@ fn truncation_does_not_invalidate_inflight_readers() {
 
     for (lsn, marker, rec_ref) in &held {
         // fresh reads fail…
-        assert!(matches!(log.get_record(*lsn), Err(Error::LogTruncated(_))));
+        assert!(matches!(get(&log, *lsn), Err(Error::LogTruncated(_))));
         // …the held snapshot still reads exactly the old record
         let rec = rec_ref.decode().unwrap();
         assert_eq!(rec.lsn, *lsn);
@@ -275,23 +285,23 @@ fn discard_unflushed_racing_append_keeps_flushed_prefix() {
     let mut survivors = 0u64;
     for (&lsn, &marker) in &last_write {
         if lsn < crash_point.0 {
-            let rec = log
-                .get_record(Lsn(lsn))
-                .unwrap_or_else(|e| panic!("flushed record at {lsn} lost: {e}"));
+            let rec =
+                get(&log, Lsn(lsn)).unwrap_or_else(|e| panic!("flushed record at {lsn} lost: {e}"));
             assert_eq!(marker_of(&rec), marker, "wrong record at {lsn}");
             survivors += 1;
         }
     }
     assert!(survivors > 0, "some flushed records must survive");
     assert!(
-        log.get_record(crash_point).is_err(),
+        get(&log, crash_point).is_err(),
         "nothing readable at/after the crash point"
     );
 
     // The surviving stream decodes cleanly end to end (no torn frames).
     let mut last = Lsn::NULL;
     let end = log
-        .scan(log.truncation_point(), Lsn::MAX, |rec| {
+        .scan_refs(log.truncation_point(), Lsn::MAX, Reach::Retained, |rec| {
+            let rec = rec.decode()?;
             assert!(rec.lsn > last);
             last = rec.lsn;
             Ok(true)
@@ -314,15 +324,15 @@ fn discard_unflushed_boundary_is_exact_and_log_continues() {
     log.discard_unflushed();
 
     assert_eq!(log.tail_lsn(), flushed);
-    assert_eq!(marker_of(&log.get_record(a).unwrap()), 1);
-    assert_eq!(marker_of(&log.get_record(b).unwrap()), 2);
-    assert!(log.get_record(c).is_err());
-    assert!(log.get_record(d).is_err());
+    assert_eq!(marker_of(&get(&log, a).unwrap()), 1);
+    assert_eq!(marker_of(&get(&log, b).unwrap()), 2);
+    assert!(get(&log, c).is_err());
+    assert!(get(&log, d).is_err());
 
     // New appends continue exactly at the crash point.
     let e = log.append(&payload_rec(2, 5, 64));
     assert_eq!(e, flushed);
-    assert_eq!(marker_of(&log.get_record(e).unwrap()), 5);
+    assert_eq!(marker_of(&get(&log, e).unwrap()), 5);
     log.flush_to(e);
 
     // A commit record makes the time index usable again after the cut.

@@ -4,14 +4,19 @@
 //! `discard_unflushed`), flush coalescing under concurrent committers, and
 //! the early-seal path for records larger than a segment.
 
-use rewind_common::{Lsn, ObjectId, PageId, TxnId};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
+use rewind_common::{Lsn, ObjectId, PageId, Result, TxnId};
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord, Reach};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
 /// One in-memory log segment (mirrors `logmgr::SEGMENT_BYTES`).
 const SEGMENT_BYTES: usize = 1 << 20;
+
+/// Owned decode of the retained record at `lsn`.
+fn get(log: &LogManager, lsn: Lsn) -> Result<LogRecord> {
+    log.get_record_ref(lsn, Reach::Retained)?.decode()
+}
 
 fn payload_rec(txn: u64, n: usize) -> LogRecord {
     marked_rec(txn, 0, n)
@@ -60,15 +65,18 @@ fn oversized_record_reads_back_and_scans() {
     let c = log.append(&payload_rec(1, 64));
 
     for &lsn in &[a, big, b, c] {
-        assert_eq!(log.get_record(lsn).unwrap().lsn, lsn);
+        assert_eq!(get(&log, lsn).unwrap().lsn, lsn);
     }
-    let big_frame = log.get_record_ref(big).unwrap().frame_len();
+    let big_frame = log
+        .get_record_ref(big, Reach::Retained)
+        .unwrap()
+        .frame_len();
     assert!(big_frame as usize > 2 * SEGMENT_BYTES);
 
     // The scan walks straight across the oversized segment's boundaries.
     let mut seen = Vec::new();
-    log.scan(Lsn::FIRST, Lsn::MAX, |r| {
-        seen.push(r.lsn);
+    log.scan_refs(Lsn::FIRST, Lsn::MAX, Reach::Retained, |r| {
+        seen.push(r.decode()?.lsn);
         Ok(true)
     })
     .unwrap();
@@ -78,7 +86,7 @@ fn oversized_record_reads_back_and_scans() {
     let s0 = log.io_stats().snapshot();
     log.flush_to(big);
     let s1 = log.io_stats().snapshot();
-    let frame_a = log.get_record_ref(a).unwrap().frame_len();
+    let frame_a = log.get_record_ref(a, Reach::Retained).unwrap().frame_len();
     assert_eq!(
         s1.log_bytes_written - s0.log_bytes_written,
         frame_a + big_frame
@@ -96,13 +104,13 @@ fn truncation_drops_oversized_segments_whole() {
 
     // Truncating below the oversized record keeps it…
     log.truncate_before(big);
-    assert!(log.get_record(early).is_err());
-    assert_eq!(log.get_record(big).unwrap().lsn, big);
+    assert!(get(&log, early).is_err());
+    assert_eq!(get(&log, big).unwrap().lsn, big);
 
     // …truncating past it drops the whole oversized segment at once.
     log.truncate_before(late);
-    assert!(log.get_record(big).is_err());
-    assert_eq!(log.get_record(late).unwrap().lsn, late);
+    assert!(get(&log, big).is_err());
+    assert_eq!(get(&log, late).unwrap().lsn, late);
     assert_eq!(log.truncation_point(), late);
 }
 
@@ -121,9 +129,9 @@ fn discard_unflushed_handles_oversized_tail() {
 
     assert_eq!(log.tail_lsn(), crash_point);
     assert_eq!(log.flushed_lsn(), crash_point);
-    assert_eq!(log.get_record(a).unwrap().lsn, a);
-    assert!(log.get_record(big).is_err());
-    assert!(log.get_record(after).is_err());
+    assert_eq!(get(&log, a).unwrap().lsn, a);
+    assert!(get(&log, big).is_err());
+    assert!(get(&log, after).is_err());
 
     // The log continues cleanly from the cut, including another oversized
     // record at the reused LSN.
@@ -132,7 +140,7 @@ fn discard_unflushed_handles_oversized_tail() {
     log.append(&payload_rec(2, 64));
     log.flush_to(log.tail_lsn());
     assert_eq!(log.flushed_lsn(), log.tail_lsn());
-    assert_eq!(log.get_record(big2).unwrap().txn, TxnId(2));
+    assert_eq!(get(&log, big2).unwrap().txn, TxnId(2));
 }
 
 // ---- group-commit durability contract --------------------------------------
@@ -155,7 +163,7 @@ fn followers_never_wake_before_durable_even_racing_discard() {
                     let marker = ((t + 1) << 32) | i;
                     let rec = marked_rec(t + 1, marker, 200);
                     let lsn = log.append(&rec);
-                    let frame = match log.get_record_ref(lsn) {
+                    let frame = match log.get_record_ref(lsn, Reach::Retained) {
                         Ok(r) => r.frame_len(),
                         Err(_) => continue, // discarded before we could read it
                     };
@@ -166,7 +174,7 @@ fn followers_never_wake_before_durable_even_racing_discard() {
                     // LSN are no longer ours (LSNs are reused by *later*
                     // appends with different markers).
                     if log.flushed_lsn().0 < lsn.0 + frame {
-                        if let Ok(now) = log.get_record(lsn) {
+                        if let Ok(now) = get(&log, lsn) {
                             assert_ne!(
                                 marker_of(&now),
                                 marker,

@@ -1,42 +1,19 @@
 //! Proof that the header-only chain-walk path allocates nothing per record.
 //!
-//! A counting global allocator wraps the system allocator; after warming the
-//! thread-local segment snapshot and the cache model, a backward chain walk
-//! over sealed history (header + borrowed payload view + undo application
-//! against a page) must perform **zero** heap allocations.
+//! The shared counting allocator wraps the system allocator; after warming
+//! the thread-local segment snapshot and the cache model, a backward chain
+//! walk over sealed history (header + borrowed payload view + undo
+//! application against a page) must perform **zero** heap allocations on
+//! the walking thread. Counting per thread keeps the two proofs below
+//! independent when the harness runs them in parallel.
 
+use rewind_common::testalloc::{thread_allocations, CountingAllocator};
 use rewind_common::{Lsn, ObjectId, PageId, TxnId};
 use rewind_pagestore::{Page, PageType};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogPayloadView, LogRecord};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogPayloadView, LogRecord, Reach};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn header_only_chain_walk_allocates_nothing() {
@@ -80,7 +57,7 @@ fn header_only_chain_walk_allocates_nothing() {
         let mut cur = walk_from;
         let mut undone = 0u64;
         while cur.is_valid() && undone < walk_records {
-            let rec = log.get_record_ref(cur).unwrap();
+            let rec = log.get_record_ref(cur, Reach::Retained).unwrap();
             let (header, view) = rec.view().unwrap();
             assert_eq!(header.page, pid);
             assert!(matches!(view, LogPayloadView::UpdateRecord { .. }));
@@ -97,7 +74,11 @@ fn header_only_chain_walk_allocates_nothing() {
     scratch_page.set_page_lsn(walk_from);
     // The page record must match the state at walk_from for undo to apply;
     // reconstruct it by replaying from the log's own view of walk_from.
-    let rec = log.get_record(walk_from).unwrap();
+    let rec = log
+        .get_record_ref(walk_from, Reach::Retained)
+        .unwrap()
+        .decode()
+        .unwrap();
     match rec.payload {
         LogPayload::UpdateRecord { ref new, .. } => {
             scratch_page.update_record(0, new).unwrap();
@@ -109,9 +90,9 @@ fn header_only_chain_walk_allocates_nothing() {
 
     // Measured pass: zero allocations per record — zero allocations at all.
     let mut measured_page = warm_state;
-    let before = allocations();
+    let before = thread_allocations();
     let undone = run_walk(&mut measured_page);
-    let after = allocations();
+    let after = thread_allocations();
     assert_eq!(undone, walk_records);
     assert_eq!(
         after - before,
@@ -148,15 +129,22 @@ fn header_reads_after_warmup_allocate_nothing() {
     }
     // Warm: snapshot + cache blocks.
     for &l in &lsns[..2000] {
-        log.get_record_header(l).unwrap();
+        log.get_record_ref(l, Reach::Retained)
+            .unwrap()
+            .header()
+            .unwrap();
     }
-    let before = allocations();
+    let before = thread_allocations();
     for &l in &lsns[..2000] {
-        let h = log.get_record_header(l).unwrap();
+        let h = log
+            .get_record_ref(l, Reach::Retained)
+            .unwrap()
+            .header()
+            .unwrap();
         assert_eq!(h.lsn, l);
     }
     assert_eq!(
-        allocations() - before,
+        thread_allocations() - before,
         0,
         "warm header reads must not allocate"
     );

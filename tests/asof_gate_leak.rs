@@ -8,7 +8,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use rewind_access::store::Store;
-use rewind_buffer::BufferPool;
+use rewind_buffer::{BufferPool, PoolIoConfig};
 use rewind_common::{ObjectId, PageId, SimClock};
 use rewind_pagestore::{FileManager, IoBackend, MemFileManager, Page, PageType};
 use rewind_recovery::{take_checkpoint, EngineParts};
@@ -29,7 +29,13 @@ fn engine_with_pages() -> Arc<EngineParts> {
     }
     let fm: Arc<dyn IoBackend> = fm;
     let log = Arc::new(LogManager::new(LogConfig::default()));
-    let pool = Arc::new(BufferPool::new(fm, log.clone(), 128));
+    let pool = Arc::new(BufferPool::new(
+        fm,
+        log.clone(),
+        128,
+        0,
+        PoolIoConfig::default(),
+    ));
     Arc::new(EngineParts {
         pool,
         log,

@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use rewind::common::{Error, Lsn, PageId};
 use rewind::pagestore::{FaultInjector, FileManager};
 use rewind::repair::{flashback, ConflictPolicy, RepairConfig, RepairTarget};
+use rewind::wal::Reach;
 use rewind::{Column, DataType, Database, DbConfig, Row, Schema, SimClock, Timestamp, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -404,7 +405,8 @@ fn salvage_fails_typed_when_log_chain_damaged() {
     // mid-chain log record it needs for reconstruction.
     let mut victim = None;
     db.log()
-        .scan_views(Lsn::FIRST, Lsn::MAX, |h, _| {
+        .scan_refs(Lsn::FIRST, Lsn::MAX, Reach::Retained, |rec| {
+            let h = rec.header()?;
             if h.page.0 > 1 && h.kind.is_page_op() {
                 victim = Some((h.page, h.lsn));
             }

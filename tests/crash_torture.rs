@@ -385,6 +385,7 @@ fn snapshot_works_on_recovered_database() {
 #[test]
 fn shortened_segment_truncates_to_last_valid_frame() {
     use rewind::common::Lsn;
+    use rewind::wal::Reach;
 
     let mut rng = SmallRng::seed_from_u64(0xF4A3);
     let mut db = Database::create(DbConfig {
@@ -429,7 +430,8 @@ fn shortened_segment_truncates_to_last_valid_frame() {
     // the durable log sees every record and no corruption.
     let mut frames = 0u64;
     db.log()
-        .scan_views(Lsn::FIRST, Lsn::MAX, |_, _| {
+        .scan_refs(Lsn::FIRST, Lsn::MAX, Reach::Retained, |rec| {
+            rec.view()?;
             frames += 1;
             Ok(true)
         })

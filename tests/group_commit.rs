@@ -6,7 +6,7 @@
 
 use rewind::common::{Error, IoStats, Lsn, PageId, Result, SimClock, Timestamp};
 use rewind::pagestore::{FileManager, MemFileManager, Page};
-use rewind::wal::{LogConfig, LogPayloadView};
+use rewind::wal::{LogConfig, LogPayloadView, Reach};
 use rewind::{Column, DataType, Database, DbConfig, Row, Schema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -193,10 +193,11 @@ fn commit_and_checkpoint_stamps_monotone_under_races() {
     let mut last = Timestamp::ZERO;
     let mut stamped = 0u64;
     db.log()
-        .scan_views(Lsn::FIRST, Lsn::MAX, |h, view| {
+        .scan_refs(Lsn::FIRST, Lsn::MAX, Reach::Retained, |rec| {
+            let (h, view) = rec.view()?;
             let at = match view {
-                LogPayloadView::Commit { at } => Some(*at),
-                LogPayloadView::CheckpointBegin { at } => Some(*at),
+                LogPayloadView::Commit { at } => Some(at),
+                LogPayloadView::CheckpointBegin { at } => Some(at),
                 _ => None,
             };
             if let Some(at) = at {

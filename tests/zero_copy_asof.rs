@@ -5,10 +5,12 @@
 //! global allocator verifies the claim the hard way: re-reading prepared
 //! pages performs **zero page-sized allocations** — no 8 KiB page is ever
 //! cloned on the warm path. (The pre-image side file cloned 8 KiB per hit,
-//! under the shard lock.)
+//! under the shard lock.) The reads run on the test's own thread, so the
+//! allocator's per-thread counters measure them exactly, undisturbed by
+//! the other test in this binary running in parallel.
 
 use rewind::access::store::Store;
-use rewind::common::testalloc::{allocations, large_allocations, CountingAllocator};
+use rewind::common::testalloc::{thread_allocations, thread_large_allocations, CountingAllocator};
 use rewind::{Column, DataType, Database, DbConfig, Schema, Value};
 
 // The shared counting allocator: every allocation counted, page-sized
@@ -18,7 +20,7 @@ use rewind::{Column, DataType, Database, DbConfig, Schema, Value};
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn counts() -> (u64, u64) {
-    (allocations(), large_allocations())
+    (thread_allocations(), thread_large_allocations())
 }
 
 fn schema() -> Schema {
