@@ -1,11 +1,11 @@
 //! The [`Store`] abstraction: how access methods touch pages.
 //!
-//! Three implementations exist in the system:
+//! Four implementations exist in the system:
 //!
-//! * the **live engine** (in `rewind-core`): pages come from the buffer
-//!   pool; `modify` appends a log record (building the per-page and
-//!   per-transaction chains), applies it, marks the frame dirty, and
-//!   maintains the FPI cadence (§6.1);
+//! * the **live engine** (`EngineStore`, in `rewind-recovery`): pages come
+//!   from the buffer pool; `modify` appends a log record (building the
+//!   per-page and per-transaction chains), applies it, marks the frame
+//!   dirty, and maintains the FPI cadence (§6.1);
 //! * the **as-of snapshot** (in `rewind-snapshot`): pages come from the side
 //!   file or from the primary — read through the buffer manager with a
 //!   shared latch — followed by `PreparePageAsOf` (§5.3); `modify` is
@@ -13,7 +13,10 @@
 //! * the **snapshot mutator** (also `rewind-snapshot`): the backdoor used by
 //!   snapshot recovery's logical undo (§5.2) — modifications are applied
 //!   directly to side-file pages *without logging*, because the snapshot is
-//!   a throwaway replica.
+//!   a throwaway replica;
+//! * the **restore store** (in `rewind-backup`): point-in-time restore's
+//!   loser undo applies modifications straight to the restored copy's
+//!   pages, also *without logging* — the copy is freestanding.
 //!
 //! A mock in-memory implementation ([`MemStore`]) lives here for unit
 //! testing the access methods in isolation.

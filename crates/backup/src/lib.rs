@@ -144,8 +144,10 @@ fn undo_losers_on_restored(
     analysis: &rewind_recovery::AnalysisResult,
 ) -> Result<()> {
     use rewind_access::store::{ModKind, Store};
-    use rewind_common::{ObjectId, PageId, TxnId};
+    use rewind_common::{ObjectId, PageId};
+    use rewind_core::catalog;
     use rewind_pagestore::PageType;
+    use rewind_recovery::rollback::undo_record_view;
     use rewind_wal::LogPayload;
 
     /// A no-log store over the restored file (the restore copy is
@@ -220,47 +222,15 @@ fn undo_losers_on_restored(
     }
 
     let store = RestoreStore { fm };
-    let sys = rewind_core::catalog::SysTrees::load(&store)?;
-    let resolver = |obj: ObjectId| -> Result<rewind_recovery::AccessKind> {
-        use rewind_core::catalog;
-        use rewind_core::TableKind;
-        if obj == ObjectId::SYS_TABLES {
-            return Ok(rewind_recovery::AccessKind::Tree(sys.tables));
-        }
-        if obj == ObjectId::SYS_COLUMNS {
-            return Ok(rewind_recovery::AccessKind::Tree(sys.columns));
-        }
-        if obj == ObjectId::SYS_INDEXES {
-            return Ok(rewind_recovery::AccessKind::Tree(sys.indexes));
-        }
-        if let Some(t) = catalog::read_table_by_id(&store, &sys, obj)? {
-            return Ok(match t.kind {
-                TableKind::Tree => rewind_recovery::AccessKind::Tree(t.tree()?),
-                TableKind::Heap => rewind_recovery::AccessKind::Heap(t.heap()?),
-            });
-        }
-        if let Some((_, idx)) = catalog::read_index_by_id(&store, &sys, obj)? {
-            return Ok(rewind_recovery::AccessKind::Tree(idx.tree()));
-        }
-        Err(Error::ObjectNotFound(obj))
-    };
-
-    let mut heap: std::collections::BinaryHeap<(Lsn, TxnId)> =
-        analysis.losers.iter().map(|l| (l.last_lsn, l.id)).collect();
-    while let Some((lsn, txn)) = heap.pop() {
-        let rec = log.get_record_ref(lsn, Reach::Archive)?;
-        let header = rec.header()?;
-        let next = if header.is_clr() {
-            header.undo_next
-        } else {
-            let (_, view) = rec.view()?;
-            rewind_recovery::rollback::undo_record_view(&store, &header, &view, &resolver)?;
-            header.prev_lsn
-        };
-        if next.is_valid() {
-            heap.push((next, txn));
-        }
-    }
+    let sys = catalog::SysTrees::load(&store)?;
+    let resolver = |obj: ObjectId| catalog::resolve_access(&store, &sys, obj);
+    rewind_recovery::undo_sweep(
+        log,
+        Reach::Archive,
+        analysis.losers.iter().map(|l| (l.last_lsn, l.id)),
+        |_, header, view| undo_record_view(&store, header, view, &resolver),
+        |_| {},
+    )?;
     Ok(())
 }
 

@@ -41,9 +41,10 @@ pub fn salvage_page(log: &LogManager, pid: PageId, cause: &Error) -> Result<Page
     // 1. Chain tip: newest page-op for `pid` in the retained, durable log.
     // Only flushed records participate — an unflushed tail record never
     // reached any on-media page image (WAL rule), and after a crash it is
-    // discarded anyway.
+    // discarded anyway. The scan starts at the truncation point, not at the
+    // oldest archived record: archived history is outside `Reach::Retained`.
     let mut tip = Lsn::NULL;
-    let (from, to) = (log.earliest_available_lsn(), log.flushed_lsn());
+    let (from, to) = (log.truncation_point(), log.flushed_lsn());
     log.scan_refs(from, to, Reach::Retained, |rec| {
         let h = rec.header()?;
         if h.page == pid && h.kind.is_page_op() {

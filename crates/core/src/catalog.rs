@@ -17,6 +17,7 @@ use rewind_access::value::{decode_row, encode_row};
 use rewind_access::{BTree, Column, DataType, Heap, Schema, Value};
 use rewind_common::codec::{ByteReader, ByteWriter};
 use rewind_common::{Error, ObjectId, PageId, Result};
+use rewind_recovery::AccessKind;
 use std::ops::Bound;
 
 /// How a table stores its rows.
@@ -380,6 +381,38 @@ pub fn read_index_by_id<S: Store>(
         None => return Ok(None),
     };
     Ok(Some(parse_index_row(&bytes)?))
+}
+
+/// Resolve an object id to its access method through the catalog trees in
+/// `sys` — the one resolver behind every undo sweep (restart, rollback,
+/// as-of snapshot recovery, restore). Reads go through `s`, so the caller
+/// picks whose catalog answers: the live one, a snapshot's as-of one, or a
+/// restored copy's.
+pub fn resolve_access<S: Store>(s: &S, sys: &SysTrees, obj: ObjectId) -> Result<AccessKind> {
+    if let Some(kind) = sys_access(sys, obj) {
+        return Ok(kind);
+    }
+    if let Some(t) = read_table_by_id(s, sys, obj)? {
+        return Ok(match t.kind {
+            TableKind::Tree => AccessKind::Tree(t.tree()?),
+            TableKind::Heap => AccessKind::Heap(t.heap()?),
+        });
+    }
+    if let Some((_, idx)) = read_index_by_id(s, sys, obj)? {
+        return Ok(AccessKind::Tree(idx.tree()));
+    }
+    Err(Error::ObjectNotFound(obj))
+}
+
+/// The access method of a system catalog tree, or `None` for a user object.
+/// Needs no catalog read.
+pub fn sys_access(sys: &SysTrees, obj: ObjectId) -> Option<AccessKind> {
+    match obj {
+        ObjectId::SYS_TABLES => Some(AccessKind::Tree(sys.tables)),
+        ObjectId::SYS_COLUMNS => Some(AccessKind::Tree(sys.columns)),
+        ObjectId::SYS_INDEXES => Some(AccessKind::Tree(sys.indexes)),
+        _ => None,
+    }
 }
 
 /// List every user table (with indexes), sorted by object id.

@@ -13,12 +13,12 @@ use rewind_obs::{EventKind, FnSource, IoStatsSource, MetricsRegistry, MetricsSna
 use rewind_pagestore::{IoBackend, MemFileManager, PageType};
 use rewind_recovery::{
     pipelined_restart, rollback::undo_record_view, take_checkpoint, take_checkpoint_incremental,
-    AccessKind, EngineParts, EngineStore, RestartOutcome,
+    undo_sweep, AccessKind, EngineParts, EngineStore, RestartOutcome,
 };
 use rewind_snapshot::AsOfSnapshot;
 use rewind_txn::{LockKey, LockManager, LockMode, ObjectLatches, TxnManager, TxnShared, TxnState};
 use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord, Reach};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -633,7 +633,13 @@ impl Database {
             self.append_marker(&shared, LogPayload::Abort);
             let store = EngineStore::new(&self.parts, &shared);
             let resolver = |obj: ObjectId| self.resolve_access_uncached(obj);
-            rewind_recovery::rollback_chain(&store, &self.parts.log, shared.last_lsn(), &resolver)?;
+            undo_sweep(
+                &self.parts.log,
+                Reach::Retained,
+                [(shared.last_lsn(), shared.id)],
+                |_, header, view| undo_record_view(&store, header, view, &resolver),
+                |_| {},
+            )?;
             let end = self.append_marker(&shared, LogPayload::End);
             // Record-precise: force exactly through our End marker, not
             // whatever other transactions have appended since.
@@ -648,18 +654,7 @@ impl Database {
     }
 
     fn append_marker(&self, shared: &TxnShared, payload: LogPayload) -> Lsn {
-        let rec = LogRecord {
-            lsn: Lsn::NULL,
-            txn: shared.id,
-            prev_lsn: shared.last_lsn(),
-            page: PageId::INVALID,
-            prev_page_lsn: Lsn::NULL,
-            object: ObjectId::NONE,
-            undo_next: Lsn::NULL,
-            flags: 0,
-            payload,
-        };
-        let lsn = self.parts.log.append(&rec);
+        let lsn = self.parts.log.append(&marker(shared, payload));
         shared.record_logged(lsn);
         lsn
     }
@@ -924,29 +919,11 @@ impl Database {
     /// (rollback may be restoring the catalog rows it needs, so caches are
     /// not trusted).
     pub fn resolve_access_uncached(&self, obj: ObjectId) -> Result<AccessKind> {
-        if obj == ObjectId::SYS_TABLES {
-            return Ok(AccessKind::Tree(self.sys.tables));
-        }
-        if obj == ObjectId::SYS_COLUMNS {
-            return Ok(AccessKind::Tree(self.sys.columns));
-        }
-        if obj == ObjectId::SYS_INDEXES {
-            return Ok(AccessKind::Tree(self.sys.indexes));
+        if let Some(kind) = catalog::sys_access(&self.sys, obj) {
+            return Ok(kind);
         }
         let txn = self.txns.begin();
-        let store = EngineStore::new(&self.parts, &txn);
-        let result = (|| {
-            if let Some(t) = catalog::read_table_by_id(&store, &self.sys, obj)? {
-                return Ok(match t.kind {
-                    TableKind::Tree => AccessKind::Tree(t.tree()?),
-                    TableKind::Heap => AccessKind::Heap(t.heap()?),
-                });
-            }
-            if let Some((_, idx)) = catalog::read_index_by_id(&store, &self.sys, obj)? {
-                return Ok(AccessKind::Tree(idx.tree()));
-            }
-            Err(Error::ObjectNotFound(obj))
-        })();
+        let result = catalog::resolve_access(&EngineStore::new(&self.parts, &txn), &self.sys, obj);
         self.txns.finish(txn.id);
         result
     }
@@ -1059,9 +1036,14 @@ impl Database {
             snaps.insert(name.to_string(), snap.clone());
         }
         // Background logical undo (§5.2): resolve objects through the
-        // *snapshot's own* catalog (as of the SplitLSN).
+        // *snapshot's own* catalog (as of the SplitLSN), reloading its roots
+        // on every call since undo may be restoring them. No gating: undo
+        // *is* the party the gates wait for.
         let undo_snap = snap.clone();
-        snap.spawn_undo(Box::new(move |obj| SnapshotDb::resolve_on(&undo_snap, obj)));
+        snap.spawn_undo(Box::new(move |obj| {
+            let store = undo_snap.store();
+            catalog::resolve_access(&store, &SysTrees::load(&store)?, obj)
+        }));
         Ok(SnapshotDb::open(snap)?.with_scan_budget(self.config.asof_scan_budget))
     }
 
@@ -1165,55 +1147,34 @@ impl Database {
 
         // Undo losers in a single merged descending-LSN sweep (CLRs logged
         // per transaction).
-        let mut shared: HashMap<u64, Arc<TxnShared>> = HashMap::new();
-        let mut heap: BinaryHeap<(Lsn, TxnId)> = BinaryHeap::new();
-        for loser in &analysis.losers {
-            shared.insert(loser.id.0, db.txns.adopt(loser.id, loser.last_lsn));
-            heap.push((loser.last_lsn, loser.id));
-        }
+        let shared: HashMap<u64, Arc<TxnShared>> = analysis
+            .losers
+            .iter()
+            .map(|loser| (loser.id.0, db.txns.adopt(loser.id, loser.last_lsn)))
+            .collect();
         let resolver = |obj: ObjectId| db.resolve_access_uncached(obj);
         let mut finished: Vec<Arc<TxnShared>> = Vec::new();
         // Monotonic timebase, not `obs.now_us()`: the report must carry
         // real durations even on a disabled-obs engine.
         let undo_started = rewind_obs::monotonic_us();
-        let mut records_undone = 0u64;
-        while let Some((lsn, txn)) = heap.pop() {
-            let rec = db.parts.log.get_record_ref(lsn, Reach::Retained)?;
-            let header = rec.header()?;
-            let sh = shared[&txn.0].clone();
-            let next = if header.is_clr() {
-                header.undo_next
-            } else {
-                let store = EngineStore::new(&db.parts, &sh);
+        let records_undone = undo_sweep(
+            &db.parts.log,
+            Reach::Retained,
+            analysis.losers.iter().map(|l| (l.last_lsn, l.id)),
+            |txn, header, view| {
+                let sh = &shared[&txn.0];
                 // Position the store's chain at this record so CLRs chain
                 // correctly even across restarts.
-                sh.set_last_lsn(lsn);
-                let (_, view) = rec.view()?;
-                undo_record_view(&store, &header, &view, &resolver)?;
-                records_undone += 1;
-                header.prev_lsn
-            };
-            if next.is_valid() {
-                heap.push((next, txn));
-            } else {
-                finished.push(sh);
-            }
-        }
+                sh.set_last_lsn(header.lsn);
+                undo_record_view(&EngineStore::new(&db.parts, sh), header, view, &resolver)
+            },
+            |txn| finished.push(shared[&txn.0].clone()),
+        )?;
         // Close every fully-undone loser with ONE batched append: all the
         // End markers are framed under a single writer-mutex acquisition.
         let mut ends: Vec<LogRecord> = finished
             .iter()
-            .map(|sh| LogRecord {
-                lsn: Lsn::NULL,
-                txn: sh.id,
-                prev_lsn: sh.last_lsn(),
-                page: PageId::INVALID,
-                prev_page_lsn: Lsn::NULL,
-                object: ObjectId::NONE,
-                undo_next: Lsn::NULL,
-                flags: 0,
-                payload: LogPayload::End,
-            })
+            .map(|sh| marker(sh, LogPayload::End))
             .collect();
         db.parts.log.append_batch(&mut ends);
         for (sh, rec) in finished.iter().zip(&ends) {
@@ -1253,6 +1214,22 @@ impl Drop for Database {
         // be submitted, so after the drain the queue is empty and the
         // pool's worker threads park until the pool itself drops.
         self.parts.pool.quiesce_writeback();
+    }
+}
+
+/// A transaction-control marker (Abort, End) continuing `shared`'s chain;
+/// it touches no page.
+fn marker(shared: &TxnShared, payload: LogPayload) -> LogRecord {
+    LogRecord {
+        lsn: Lsn::NULL,
+        txn: shared.id,
+        prev_lsn: shared.last_lsn(),
+        page: PageId::INVALID,
+        prev_page_lsn: Lsn::NULL,
+        object: ObjectId::NONE,
+        undo_next: Lsn::NULL,
+        flags: 0,
+        payload,
     }
 }
 

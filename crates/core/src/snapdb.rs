@@ -26,7 +26,6 @@ use rewind_access::value::decode_row;
 use rewind_access::{Row, Value};
 use rewind_buffer::ScanPartition;
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp};
-use rewind_recovery::AccessKind;
 use rewind_snapshot::{AsOfSnapshot, SnapshotStats};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -168,33 +167,6 @@ impl SnapshotDb {
             .snap
             .prepare_pages_in(&leaves, workers, &part)?
             .prepared())
-    }
-
-    /// Resolve an object id against a snapshot's own catalog (used by the
-    /// background undo's resolver — no gating, since undo *is* the party
-    /// the gates wait for).
-    pub(crate) fn resolve_on(snap: &Arc<AsOfSnapshot>, obj: ObjectId) -> Result<AccessKind> {
-        let store = snap.store();
-        let sys = SysTrees::load(&store)?;
-        if obj == ObjectId::SYS_TABLES {
-            return Ok(AccessKind::Tree(sys.tables));
-        }
-        if obj == ObjectId::SYS_COLUMNS {
-            return Ok(AccessKind::Tree(sys.columns));
-        }
-        if obj == ObjectId::SYS_INDEXES {
-            return Ok(AccessKind::Tree(sys.indexes));
-        }
-        if let Some(t) = catalog::read_table_by_id(&store, &sys, obj)? {
-            return Ok(match t.kind {
-                TableKind::Tree => AccessKind::Tree(t.tree()?),
-                TableKind::Heap => AccessKind::Heap(t.heap()?),
-            });
-        }
-        if let Some((_, idx)) = catalog::read_index_by_id(&store, &sys, obj)? {
-            return Ok(AccessKind::Tree(idx.tree()));
-        }
-        Err(Error::ObjectNotFound(obj))
     }
 
     /// The underlying snapshot.

@@ -22,8 +22,11 @@
 //!   pages' records in LSN order) is exactly as correct as applying them
 //!   inline on the scanning thread (`workers == 1`) — the module docs carry
 //!   the full argument.
-//! * [`rollback::rollback_chain`] — transaction rollback with CLRs that
-//!   carry undo information (§4.2-2), logical undo for B-Tree rows,
+//! * [`rollback::undo_sweep`] — the one loser-undo sweep behind restart,
+//!   rollback, as-of snapshot recovery and restore: a merged descending-LSN
+//!   walk of the transactions' chains that skips CLRs via `undo_next`. Each
+//!   record is compensated by [`rollback::undo_record_view`] with a CLR that
+//!   carries undo information (§4.2-2): logical undo for B-Tree rows,
 //!   physical undo for heap rows, allocation bits and partial structure
 //!   modifications.
 //! * [`EngineStore`] — the canonical live-engine [`rewind_access::Store`]
@@ -42,5 +45,5 @@ pub use analysis::{analyze, AnalysisBuilder, AnalysisResult, LoserTxn};
 pub use checkpoint::{take_checkpoint, take_checkpoint_incremental};
 pub use prepare::{prepare_page_as_of, PrepareStats};
 pub use restart::{pipelined_restart, PartitionedRedo, RestartOutcome};
-pub use rollback::{rollback_chain, AccessKind};
+pub use rollback::{undo_sweep, AccessKind};
 pub use store::{CowSink, EngineParts, EngineStore};

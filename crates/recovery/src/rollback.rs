@@ -1,12 +1,16 @@
 //! Transaction rollback with compensation log records.
 //!
-//! Walks a transaction's backward chain (`prev_lsn`), logically undoing
-//! B-Tree row changes (the row may have been moved by later structure
-//! modifications, so it is located by key — the reason the paper rejects
-//! blanket transaction-oriented undo for *as-of* queries in §4.1 applies in
-//! reverse here) and physically undoing everything whose location is
-//! stable: heap rows (RID-stable by design), allocation bits, boot-page
-//! bytes, sibling pointers and partial structure modifications.
+//! [`undo_sweep`] is the one undo discipline behind restart, rollback, as-of
+//! snapshot recovery (§5.2) and point-in-time restore: it backs out a set of
+//! transactions in a single merged descending-LSN sweep over their backward
+//! chains (`prev_lsn`), jumping each CLR to its `undo_next`. Each record is
+//! undone by [`undo_record_view`], logically for B-Tree row changes (the row
+//! may have been moved by later structure modifications, so it is located by
+//! key — the reason the paper rejects blanket transaction-oriented undo for
+//! *as-of* queries in §4.1 applies in reverse here) and physically for
+//! everything whose location is stable: heap rows (RID-stable by design),
+//! allocation bits, boot-page bytes, sibling pointers and partial structure
+//! modifications.
 //!
 //! Every compensation is logged as a CLR carrying full undo information —
 //! the paper's §4.2-2 extension — so `PreparePageAsOf` can walk straight
@@ -15,8 +19,9 @@
 
 use rewind_access::store::{ModKind, Store};
 use rewind_access::{BTree, Heap};
-use rewind_common::{Error, Lsn, ObjectId, Result};
+use rewind_common::{Error, Lsn, ObjectId, Result, TxnId};
 use rewind_wal::{LogManager, LogPayload, LogPayloadView, LogRecordHeader, Reach, REC_FLAG_SYSTEM};
+use std::collections::BinaryHeap;
 
 /// How an object stores rows — resolved from the catalog during rollback.
 #[derive(Clone, Copy, Debug)]
@@ -33,8 +38,8 @@ pub enum AccessKind {
 /// payloads straight from the log segment; bytes are copied only into the
 /// CLRs actually written.
 ///
-/// Public because both restart undo and as-of snapshot recovery (§5.2) drive
-/// merged multi-transaction sweeps through it.
+/// Public because every [`undo_sweep`] caller undoes through it on its own
+/// store.
 pub fn undo_record_view<S: Store>(
     s: &S,
     header: &LogRecordHeader,
@@ -153,32 +158,112 @@ pub fn undo_record_view<S: Store>(
     Ok(())
 }
 
-/// Roll back a transaction chain starting at `from` (its most recent LSN).
+/// Back out every transaction in `heads` — `(most recent LSN, id)` pairs —
+/// in one merged sweep over their chains in descending LSN order, so
+/// structure-modification ordering is honoured across transactions.
 ///
 /// CLRs encountered jump via `undo_next` (so completed structure
 /// modifications and already-compensated work are skipped) after a
 /// header-only decode — their payloads are never materialized; every other
-/// record is undone straight from its borrowed payload view, with a new CLR.
-/// Returns the number of records undone.
-pub fn rollback_chain<S: Store>(
-    s: &S,
+/// record is handed to `undo` straight from its borrowed payload view.
+/// `on_txn_done` runs once per transaction, as soon as its chain is
+/// exhausted. Returns the number of records handed to `undo`.
+pub fn undo_sweep(
     log: &LogManager,
-    from: Lsn,
-    resolver: &dyn Fn(ObjectId) -> Result<AccessKind>,
+    reach: Reach,
+    heads: impl IntoIterator<Item = (Lsn, TxnId)>,
+    mut undo: impl FnMut(TxnId, &LogRecordHeader, &LogPayloadView<'_>) -> Result<()>,
+    mut on_txn_done: impl FnMut(TxnId),
 ) -> Result<u64> {
-    let mut cur = from;
+    let mut heap: BinaryHeap<(Lsn, TxnId)> = heads.into_iter().collect();
     let mut undone = 0u64;
-    while cur.is_valid() {
-        let rec = log.get_record_ref(cur, Reach::Retained)?;
+    while let Some((lsn, txn)) = heap.pop() {
+        let rec = log.get_record_ref(lsn, reach)?;
         let header = rec.header()?;
-        if header.is_clr() {
-            cur = header.undo_next;
-            continue;
+        let next = if header.is_clr() {
+            header.undo_next
+        } else {
+            let (_, view) = rec.view()?;
+            undo(txn, &header, &view)?;
+            undone += 1;
+            header.prev_lsn
+        };
+        if next.is_valid() {
+            heap.push((next, txn));
+        } else {
+            on_txn_done(txn);
         }
-        let (_, view) = rec.view()?;
-        undo_record_view(s, &header, &view, resolver)?;
-        undone += 1;
-        cur = header.prev_lsn;
     }
     Ok(undone)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rewind_common::PageId;
+    use rewind_wal::{LogConfig, LogRecord, REC_FLAG_CLR};
+
+    fn append(log: &LogManager, txn: TxnId, prev_lsn: Lsn, undo_next: Lsn) -> Lsn {
+        let clr = undo_next.is_valid();
+        log.append(&LogRecord {
+            lsn: Lsn::NULL,
+            txn,
+            prev_lsn,
+            page: PageId(5),
+            prev_page_lsn: Lsn::NULL,
+            object: ObjectId(501),
+            undo_next,
+            flags: if clr { REC_FLAG_CLR } else { 0 },
+            payload: LogPayload::UpdateRecord {
+                slot: 0,
+                old: b"old".to_vec(),
+                new: b"new".to_vec(),
+            },
+        })
+    }
+
+    /// Two interleaved losers; `b`'s CLR closes `b2..b3` (a completed
+    /// structure modification) and jumps straight to `b1`.
+    #[test]
+    fn sweep_merges_descending_and_skips_clr_targets() {
+        let log = LogManager::new(LogConfig::default());
+        let (a, b) = (TxnId(1), TxnId(2));
+        let a1 = append(&log, a, Lsn::NULL, Lsn::NULL);
+        let b1 = append(&log, b, Lsn::NULL, Lsn::NULL);
+        let a2 = append(&log, a, a1, Lsn::NULL);
+        let b2 = append(&log, b, b1, Lsn::NULL);
+        let a3 = append(&log, a, a2, Lsn::NULL);
+        let b3 = append(&log, b, b2, Lsn::NULL);
+        let b_clr = append(&log, b, b3, b1);
+        let a4 = append(&log, a, a3, Lsn::NULL);
+
+        let mut visited = Vec::new();
+        let mut done = Vec::new();
+        let undone = undo_sweep(
+            &log,
+            Reach::Retained,
+            [(a4, a), (b_clr, b)],
+            |txn, header, _| {
+                assert_eq!(header.txn, txn, "hook sees the sweep's own txn");
+                visited.push((header.lsn, txn));
+                Ok(())
+            },
+            |txn| done.push(txn),
+        )
+        .unwrap();
+
+        assert_eq!(
+            visited,
+            vec![(a4, a), (a3, a), (a2, a), (b1, b), (a1, a)],
+            "one merged sweep in descending LSN order"
+        );
+        let lsns: Vec<Lsn> = visited.iter().map(|&(lsn, _)| lsn).collect();
+        assert!(lsns.windows(2).all(|w| w[0] > w[1]), "strictly descending");
+        assert!(
+            [b2, b3, b_clr].iter().all(|l| !lsns.contains(l)),
+            "a CLR and the records it closes are never undone"
+        );
+        assert_eq!(undone, visited.len() as u64);
+        assert_eq!(done, vec![b, a], "each txn done once, as it finishes");
+    }
 }

@@ -14,7 +14,6 @@
 //! * the **modification gate**: snapshot creation briefly blocks writers to
 //!   pin a consistent split point.
 
-use crate::rollback;
 use parking_lot::{Mutex, RwLock};
 use rewind_access::store::{ModKind, Store};
 use rewind_buffer::BufferPool;
@@ -318,17 +317,5 @@ impl Store for EngineStore<'_> {
 
     fn writable(&self) -> bool {
         true
-    }
-}
-
-impl EngineStore<'_> {
-    /// Roll this store's transaction back from its current last LSN,
-    /// resolving objects through `resolver`. Releases no locks — the caller
-    /// owns lock lifetime.
-    pub fn rollback(
-        &self,
-        resolver: &dyn Fn(ObjectId) -> Result<rollback::AccessKind>,
-    ) -> Result<u64> {
-        rollback::rollback_chain(self, &self.parts.log, self.txn.last_lsn(), resolver)
     }
 }

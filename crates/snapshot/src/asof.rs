@@ -4,14 +4,13 @@ use crate::stats::SnapshotStatsView;
 use crate::store::{SnapInner, SnapshotMutator, SnapshotStore};
 use parking_lot::{Condvar, Mutex};
 use rewind_buffer::ScanPartition;
-use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp, TxnId};
+use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp};
 use rewind_obs::EventKind;
 use rewind_pagestore::Page;
-use rewind_recovery::rollback::undo_record_view;
+use rewind_recovery::rollback::{undo_record_view, undo_sweep};
 use rewind_recovery::{analyze, AccessKind, CowSink, EngineParts, LoserTxn};
 use rewind_txn::{LockManager, LockMode, ObjectLatches};
 use rewind_wal::{find_split_lsn, Reach};
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -255,32 +254,19 @@ impl AsOfSnapshot {
             return Ok(0);
         }
         let mutator = self.mutator();
-        let mut heap: BinaryHeap<(Lsn, TxnId)> =
-            self.losers.iter().map(|l| (l.last_lsn, l.id)).collect();
-        let mut processed = 0u64;
-        while let Some((lsn, txn)) = heap.pop() {
-            // Zero-copy walk: CLRs are skipped after a header-only decode;
-            // only records actually undone materialize a payload view.
-            let rec = self.inner.log.get_record_ref(lsn, Reach::Retained)?;
-            let header = rec.header()?;
-            let next = if header.is_clr() {
-                header.undo_next
-            } else {
-                let (_, view) = rec.view()?;
-                undo_record_view(&mutator, &header, &view, resolver)?;
-                processed += 1;
-                header.prev_lsn
-            };
-            if next.is_valid() {
-                heap.push((next, txn));
-            } else {
+        let processed = undo_sweep(
+            &self.inner.log,
+            Reach::Retained,
+            self.losers.iter().map(|l| (l.last_lsn, l.id)),
+            |_, header, view| undo_record_view(&mutator, header, view, resolver),
+            |txn| {
                 // transaction fully undone: count it, then release its
                 // reacquired locks (a reader that finds a lock free must
                 // also see the count move)
                 self.undo_epoch.fetch_add(1, Ordering::Release);
                 self.locks.release_all(txn);
-            }
-        }
+            },
+        )?;
         self.mark_undo_done();
         Ok(processed)
     }

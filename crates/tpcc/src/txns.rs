@@ -6,7 +6,7 @@
 //! [`SnapshotDb`].
 
 use rewind_core::{Database, Error, Result, SnapshotDb, Txn, Value};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// One requested line of a NewOrder.
 #[derive(Clone, Copy, Debug)]
@@ -325,7 +325,8 @@ pub fn stock_level(
         &[Value::U64(w_id), Value::U64(d_id), Value::U64(lo)],
         &[Value::U64(w_id), Value::U64(d_id), Value::U64(next_o_id)],
     )?;
-    let items: HashSet<u64> = lines.iter().map(|l| l[4].as_u64()).collect::<Result<_>>()?;
+    // Key order, so page accesses repeat from run to run.
+    let items: BTreeSet<u64> = lines.iter().map(|l| l[4].as_u64()).collect::<Result<_>>()?;
     let mut low = 0usize;
     for i_id in items {
         let stock = db
@@ -375,7 +376,8 @@ pub fn stock_level_asof(snap: &SnapshotDb, w_id: u64, d_id: u64, threshold: i64)
         &[Value::U64(w_id), Value::U64(d_id), Value::U64(lo)],
         &[Value::U64(w_id), Value::U64(d_id), Value::U64(next_o_id)],
     )?;
-    let items: HashSet<u64> = lines.iter().map(|l| l[4].as_u64()).collect::<Result<_>>()?;
+    // Key order, so page accesses repeat from run to run.
+    let items: BTreeSet<u64> = lines.iter().map(|l| l[4].as_u64()).collect::<Result<_>>()?;
     let mut low = 0usize;
     for i_id in items {
         let stock = snap

@@ -15,10 +15,11 @@ use rand::{Rng, SeedableRng};
 use rewind::common::{Error, Lsn, PageId};
 use rewind::pagestore::{FaultInjector, FileManager};
 use rewind::repair::{flashback, ConflictPolicy, RepairConfig, RepairTarget};
-use rewind::wal::Reach;
+use rewind::wal::{LogConfig, Reach};
 use rewind::{Column, DataType, Database, DbConfig, Row, Schema, SimClock, Timestamp, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The fixed seeds the CI `corruption-torture` step pins.
 const SEEDS: [u64; 3] = [0x00C0_FFEE, 0x0DDB_17E5, 0x5EED_F00D];
@@ -243,6 +244,88 @@ fn torn_writeback_detected_and_salvaged() {
         assert_eq!(
             io.page_salvages, 1,
             "exactly the torn page (seed {seed:#x})"
+        );
+        assert_eq!(io.corruptions_detected, 1);
+    }
+}
+
+/// Salvage on a log that archives what it truncates: the chain-tip scan
+/// must start at the truncation point, since the archived history below it
+/// is outside retained reach. A page born after the cut keeps its whole
+/// chain in the retained log, so it heals exactly once.
+#[test]
+fn salvage_after_truncation_on_archiving_log() {
+    for seed in SEEDS {
+        let fi = Arc::new(FaultInjector::new(seed));
+        let db = Database::create_on(
+            fi.clone(),
+            DbConfig {
+                checkpoint_interval_bytes: 0,
+                log: LogConfig {
+                    archive_on_truncate: true,
+                    ..LogConfig::default()
+                },
+                ..DbConfig::default()
+            },
+            SimClock::starting_at(Timestamp::from_secs(1_000)),
+        )
+        .unwrap();
+        db.with_txn(|txn| db.create_table(txn, "t", schema()))
+            .unwrap();
+        // A few 1 MiB log segments of history, so truncation drops whole
+        // segments into the archive.
+        let pad = "p".repeat(1_000);
+        let mut round = 0u64;
+        while db.log().tail_lsn().0 < 3 << 20 {
+            db.with_txn(|txn| {
+                for id in 0..20u64 {
+                    let row = vec![Value::U64(id), Value::Str(format!("{round}{pad}"))];
+                    if round == 0 {
+                        db.insert(txn, "t", &row)?;
+                    } else {
+                        db.update(txn, "t", &row)?;
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+            round += 1;
+        }
+        db.checkpoint().unwrap();
+        db.set_undo_interval(Duration::from_secs(1)).unwrap();
+        db.clock().advance_micros(5_000_000);
+        db.checkpoint().unwrap();
+        db.enforce_retention();
+        let log = db.log();
+        assert!(
+            log.earliest_available_lsn() < log.truncation_point(),
+            "truncated history was archived (seed {seed:#x})"
+        );
+
+        // A table born after the cut.
+        db.with_txn(|txn| db.create_table(txn, "u", schema()))
+            .unwrap();
+        let mut model = BTreeMap::new();
+        db.with_txn(|txn| {
+            for id in 0..30u64 {
+                let row = vec![Value::U64(id), Value::Str(format!("{seed}:{id}"))];
+                db.insert(txn, "u", &row)?;
+                model.insert(id, row);
+            }
+            Ok(())
+        })
+        .unwrap();
+        db.checkpoint().unwrap();
+        db.parts().pool.drop_cache();
+        let root = db.table("u").unwrap().tree().unwrap().root;
+        assert!(fi.flip_bit(root));
+
+        let rows = db.with_txn(|txn| db.scan_all(txn, "u")).unwrap();
+        assert_eq!(to_map(rows), model, "seed {seed:#x}");
+        let io = db.data_io();
+        assert_eq!(
+            io.page_salvages, 1,
+            "exactly the damaged root (seed {seed:#x})"
         );
         assert_eq!(io.corruptions_detected, 1);
     }
